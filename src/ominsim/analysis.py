@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DuplicateSourceError, OutOfRangeError, ZeroTrialsError
+from .mc_kernel import chunk_trials, permutation_dests, resolve_batch, sample_requests
 from .routing import Message, PermutationMap
-from .streams import Stream, substream
+from .streams import Stream, check_seed, stream_after
 from .topology import NetworkSpec, Topology, interconnect
 
 
@@ -291,17 +292,31 @@ def passability(
     return len(survivors) / len(perm.pairs)
 
 
-def _sample_requests(net: NetworkSpec, traffic: TrafficModel, stream: Stream) -> list[Message]:
-    """Draw one cycle of requests.
+def _resolve_each(
+    net: NetworkSpec,
+    perm: PermutationMap | None,
+    dests: np.ndarray,
+    states: np.ndarray,
+    draws: np.ndarray,
+    policy: DropPolicy,
+    budgets: Sequence[int],
+) -> dict[Mode, list[int]]:
+    """Survivor counts of sampled trials, one resolve_single_pass call each.
 
-    Draw order (fixed for reproducibility): one Bernoulli per input line in
-    ascending order, then one destination per active input in ascending
-    order when destinations are uniform.
+    Requests keep the reference order (ascending sources, or the map's order)
+    and each trial's stream resumes after its sampling draws, so random drop
+    decisions come from the same draws as in a sequential run.
     """
-    active = [stream.bernoulli(traffic.load) for _ in range(net.size)]
-    if traffic.permutation is not None:
-        return [msg for msg in traffic.permutation.pairs if active[msg.source]]
-    return [Message(s, stream.below(net.size)) for s in range(net.size) if active[s]]
+    counts: dict[Mode, list[int]] = {None: [], **{b: [] for b in budgets}}
+    for row, state, used in zip(dests.tolist(), states.tolist(), draws.tolist()):
+        if perm is None:
+            requests = [Message(s, d) for s, d in enumerate(row) if d >= 0]
+        else:
+            requests = [msg for msg in perm.pairs if row[msg.source] >= 0]
+        survivors = resolve_single_pass(net, requests, policy, stream_after(state, used), budgets)
+        for m, values in counts.items():
+            values.append(len(survivors[m]))
+    return counts
 
 
 def monte_carlo(
@@ -316,27 +331,40 @@ def monte_carlo(
 
     Trial t draws everything from substream(seed, t), so results do not
     depend on execution order and rerunning with the same arguments is
-    byte-identical.
+    byte-identical.  Trials are sampled in chunks (mc_kernel); under
+    LOWEST_SOURCE_WINS each chunk is resolved by the vectorised kernel,
+    which matches resolve_single_pass trial by trial, and under
+    RANDOM_UNIFORM each trial goes through resolve_single_pass itself.
     """
     if trials < 1:
         raise ZeroTrialsError(f"need at least one trial, got {trials}")
+    check_seed(seed)
     wanted: list[Mode] = []
     for m in modes:
         if m not in wanted:
             wanted.append(m)
     budgets = [m for m in wanted if m is not None]
-    matured: dict[Mode, list[int]] = {m: [] for m in wanted}
+    for budget in budgets:
+        if budget < 0:
+            raise OutOfRangeError(f"budget must be >= 0, got {budget}")
+    perm = traffic.permutation
+    perm_dests = None if perm is None else permutation_dests(net, perm)
+    matured: dict[Mode, list] = {m: [] for m in wanted}
     offered = 0
-    for trial in range(trials):
-        stream = substream(seed, trial)
-        requests = _sample_requests(net, traffic, stream)
-        offered += len(requests)
-        survivors = resolve_single_pass(net, requests, policy, stream, budgets)
+    chunk = chunk_trials(net)
+    for first in range(0, trials, chunk):
+        count = min(chunk, trials - first)
+        states, dests, draws = sample_requests(net, traffic.load, perm_dests, seed, first, count)
+        offered += int(np.count_nonzero(dests >= 0))
+        if policy is DropPolicy.LOWEST_SOURCE_WINS:
+            counts = {m: alive.sum(axis=1) for m, alive in resolve_batch(net, dests, budgets).items()}
+        else:
+            counts = _resolve_each(net, perm, dests, states, draws, policy, budgets)
         for m in wanted:
-            matured[m].append(len(survivors[m]))
+            matured[m].append(counts[m])
     stats = []
     for m in wanted:
-        arr = np.asarray(matured[m], dtype=float)
+        arr = np.concatenate(matured[m]).astype(float)
         stderr = float(np.std(arr, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         stats.append(
             ModeStats(

@@ -33,7 +33,7 @@ from .scheduler import (
     schedule_json,
     validate_schedule,
 )
-from .streams import Stream, substream
+from .streams import Stream, check_seed, substream
 from .topology import build_network, parse_topology
 
 
@@ -141,8 +141,16 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _parse_sizes(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ParseError(f"--sizes must be comma-separated integers, got {text!r}") from None
+
+
 def _bandwidth_rows(args) -> list[dict]:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    sizes = _parse_sizes(args.sizes)
+    check_seed(args.seed)
     rows: list[dict] = []
     for size in sizes:
         net = build_network(size, parse_topology(args.topology))

@@ -1,0 +1,188 @@
+"""Vectorised Monte Carlo kernel: sampling and lowest-source-wins resolution
+for a whole chunk of trials at once, equal trial by trial to
+resolve_single_pass.
+
+monte_carlo works through its trials in chunks of CHUNK_CELLS // N trials.
+Each chunk is sampled in one pass (sample_requests) and resolved stage by
+stage across all of its trials (resolve_batch):
+
+* The allow sweep works in line space.  A line carries at most one live
+  message, keyed source << n | destination, so each switch is one pair
+  comparison, and of two keys bound for the same out-line the smaller one,
+  the lower source, wins.
+* Allow survivors never share a line, so during a budget sweep a switch
+  holds at most two of them.  A message's shared count is the number of its
+  recorded shares whose partner is still alive: a drop decrements the counts
+  of the victim's recorded partners, and nothing else needs undoing.
+* The reference visits the switches of a stage in ascending order, and a
+  drop at a lower switch can lower a count at a higher switch of the same
+  stage.  Each stage therefore recomputes its victims until they stop
+  changing.  A decision depends only on drops at lower switches, so the
+  fixed point is unique and equals the sequential result.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+
+from .errors import DuplicateSourceError, OutOfRangeError
+from .routing import PermutationMap
+from .streams import MASK64, stream_draws, trial_states
+from .topology import NetworkSpec, interconnect
+
+CHUNK_CELLS = 1 << 16
+"""Trials times input lines per chunk, which bounds the kernel's memory."""
+
+
+def chunk_trials(net: NetworkSpec) -> int:
+    return max(1, CHUNK_CELLS // net.size)
+
+
+@lru_cache(maxsize=16)
+def _feeders(net: NetworkSpec) -> np.ndarray:
+    """(n, N) read-only wiring: row k gives, for every line entering stage
+    k + 1, the line that feeds it."""
+    feeders = np.empty((net.stages, net.size), dtype=np.intp)
+    lines = np.arange(net.size)
+    for stage in range(1, net.stages + 1):
+        feeders[stage - 1, [interconnect(net, stage, line) for line in range(net.size)]] = lines
+    feeders.flags.writeable = False
+    return feeders
+
+
+def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:
+    """Destination of every source under a fixed map; -1 where it has none."""
+    dests = np.full(net.size, -1, dtype=np.int64)
+    for msg in perm.pairs:
+        if not (0 <= msg.source < net.size and 0 <= msg.destination < net.size):
+            raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {net.size})")
+        if dests[msg.source] >= 0:
+            raise DuplicateSourceError(f"source {msg.source} requested twice")
+        dests[msg.source] = msg.destination
+    return dests
+
+
+def sample_requests(
+    net: NetworkSpec,
+    load: float,
+    perm_dests: np.ndarray | None,
+    seed: int,
+    first: int,
+    count: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Requests of trials first .. first + count - 1, drawn as documented.
+
+    Draws 1 .. N are the input lines' Bernoulli(load) draws.  With uniform
+    traffic (perm_dests None) draw N + 1 + r is the destination of the r-th
+    active line: N is a power of two, so below(N) never rejects and keeps
+    the draw's low n bits.  Returns the trials' initial stream states, a
+    (count, N) array of each source's destination (-1 when idle) and the
+    number of draws each trial consumed.
+    """
+    size = net.size
+    states = trial_states(seed, first, count)
+    draws = stream_draws(states, size if perm_dests is not None else 2 * size)
+    threshold = int(load * (1 << 64))
+    if threshold > MASK64:
+        active = np.ones((count, size), dtype=bool)
+    else:
+        active = draws[:, :size] < np.uint64(threshold)
+    if perm_dests is not None:
+        return states, np.where(active, perm_dests, -1), np.full(count, size)
+    rank = np.maximum(np.cumsum(active, axis=1) - 1, 0)
+    picks = np.take_along_axis(draws[:, size:], rank, axis=1) & np.uint64(size - 1)
+    return states, np.where(active, picks.astype(np.int64), -1), size + active.sum(axis=1)
+
+
+def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Allow survivors and the sources entering every switch.
+
+    Returns a (trials, N + 1) boolean array of survivors by source (column N
+    stands for an empty line and is never set) and an (n, trials, N) array
+    of the source on every line entering each stage, N where it is empty.
+    """
+    n, size = net.stages, net.size
+    empty = size << n
+    keys = np.where(dests >= 0, (np.arange(size) << n) | dests, empty)
+    entering = np.empty((n,) + keys.shape, dtype=np.intp)
+    for k, feeders in enumerate(_feeders(net)):
+        keys = keys[:, feeders]
+        entering[k] = keys >> n
+        upper, lower = keys[:, 0::2], keys[:, 1::2]
+        upper_bit, lower_bit = (upper >> (n - 1 - k)) & 1, (lower >> (n - 1 - k)) & 1
+        out = np.empty_like(keys)
+        out[:, 0::2] = np.minimum(np.where(upper_bit, empty, upper), np.where(lower_bit, empty, lower))
+        out[:, 1::2] = np.minimum(np.where(upper_bit, upper, empty), np.where(lower_bit, lower, empty))
+        keys = out
+    alive = np.zeros((keys.shape[0], size + 1), dtype=bool)
+    np.put_along_axis(alive, keys >> n, True, axis=1)
+    alive[:, size] = False
+    return alive, entering
+
+
+def _budget_sweep(net: NetworkSpec, entering: np.ndarray, start: np.ndarray, budget: int) -> np.ndarray:
+    """Enforce a shared-stage budget on `start`, a subset of the allow survivors.
+
+    Messages are flat slots trial * (N + 1) + source; `entering` holds slots.
+    At a contested switch the share stands while both counts stay within
+    budget; otherwise the message with the larger count drops, the higher
+    source on a tie.
+    """
+    n, half = net.stages, net.size // 2
+    alive = start.copy()
+    count = np.zeros(alive.size, dtype=np.intp)
+    # Slot N is trial 0's empty line: never alive, so a safe "no partner".
+    partner = np.full((n, alive.size), net.size, dtype=np.intp)
+    dropped_at = np.full(alive.size, half, dtype=np.intp)
+    for k in range(n):
+        upper, lower = entering[k, :, 0::2], entering[k, :, 1::2]
+        contested = alive[upper] & alive[lower]
+        switch = np.nonzero(contested)[1]
+        a, b = upper[contested], lower[contested]
+        count_a, count_b = count[a], count[b]
+        partners_a, partners_b = partner[:k, a], partner[:k, b]
+        victims = np.full(a.size, -1, dtype=np.intp)
+        # A drop at a lower switch of this stage lowers counts at higher
+        # ones: recompute the victims until they stop changing.
+        while True:
+            ca = count_a - (dropped_at[partners_a] < switch).sum(axis=0)
+            cb = count_b - (dropped_at[partners_b] < switch).sum(axis=0)
+            over = np.maximum(ca, cb) >= budget
+            drop_a = (ca > cb) | ((ca == cb) & (a > b))
+            update = np.where(over, np.where(drop_a, a, b), -1)
+            if np.array_equal(update, victims):
+                break
+            dropped_at[victims[victims >= 0]] = half
+            victims = update
+            dropped_at[victims[over]] = switch[over]
+        dropped = victims[over]
+        dropped_at[dropped] = half
+        alive[dropped] = False
+        np.subtract.at(count, partner[:k, dropped].ravel(), 1)
+        a, b = a[~over], b[~over]
+        partner[k, a], partner[k, b] = b, a
+        count[a] += 1
+        count[b] += 1
+    return alive
+
+
+def resolve_batch(net: NetworkSpec, dests: np.ndarray, budgets: Sequence[int] = ()) -> dict[int | None, np.ndarray]:
+    """resolve_single_pass under LOWEST_SOURCE_WINS for many trials at once.
+
+    dests is a (trials, N) array of each source's destination, -1 where the
+    source is idle.  Returns (trials, N) boolean survivor masks by source,
+    keyed like resolve_single_pass: None for allow plus every budget, each
+    budget pruning the survivors of the next larger one.  Budgets must be
+    >= 0.
+    """
+    trials, size = dests.shape
+    alive, entering = _allow_sweep(net, dests)
+    entering += (np.arange(trials) * (size + 1))[:, None]
+    result = {None: alive[:, :size]}
+    flat = alive.reshape(-1)
+    for budget in sorted(set(budgets), reverse=True):
+        flat = _budget_sweep(net, entering, flat, budget)
+        result[budget] = flat.reshape(trials, size + 1)[:, :size]
+    return result

@@ -133,3 +133,23 @@ def test_written_permutation_reparses(tmp_path, capsys):
     path.write_text(format_permutation(perm))
     net = build_network(16, "omega")
     assert parse_permutation(path.read_text(), net) == perm
+
+
+@pytest.mark.parametrize("sizes", ["8,x", "8,-4"])
+def test_malformed_sizes_exit_2(sizes, capsys):
+    assert run(["bandwidth", "--sizes", sizes]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_out_of_range_seed_exits_2(seed, capsys):
+    assert run(["bandwidth", "--sizes", "8", "--mode", "simulate", "--trials", "5", "--seed", seed]) == 2
+    assert run(["bandwidth", "--sizes", "8", "--seed", seed]) == 2
+    assert run(["simulate", "--size", "8", "--random-perms", "2", "--seed", seed]) == 2
+    assert capsys.readouterr().err.count("error: seed must lie in [0, 2^64)") == 3
+
+
+def test_largest_seed_accepted(capsys):
+    seed = str((1 << 64) - 1)
+    assert run(["bandwidth", "--sizes", "8", "--mode", "simulate", "--trials", "5", "--seed", seed]) == 0
+    assert run(["simulate", "--size", "8", "--random-perms", "2", "--seed", seed]) == 0

@@ -1,0 +1,196 @@
+"""The vectorised Monte Carlo kernel against resolve_single_pass, trial by trial.
+
+The reference here samples each trial with a Python loop over its own
+substream, in the documented draw order, and resolves it with
+resolve_single_pass; the kernel must agree on every trial.
+"""
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ominsim import (
+    DropPolicy,
+    Message,
+    OutOfRangeError,
+    Schedule,
+    ScheduleConfig,
+    TrafficModel,
+    build_network,
+    full_permutation,
+    make_permutation,
+    monte_carlo,
+    resolve_single_pass,
+    substream,
+    validate_schedule,
+)
+from ominsim import mc_kernel
+from ominsim.mc_kernel import permutation_dests, resolve_batch, sample_requests
+
+MODES = [None, 0, 1, 2, 3]
+
+
+def reference_requests(net, traffic, stream):
+    """One Bernoulli(load) per input line, then one destination per active
+    line for uniform traffic, or the map's requests of the active lines."""
+    active = [stream.bernoulli(traffic.load) for _ in range(net.size)]
+    if traffic.permutation is not None:
+        return [msg for msg in traffic.permutation.pairs if active[msg.source]]
+    return [Message(s, stream.below(net.size)) for s in range(net.size) if active[s]]
+
+
+def reference_counts(net, traffic, budgets, trials, seed, policy=DropPolicy.LOWEST_SOURCE_WINS):
+    """Per trial: (offered, {mode: survivors}) through resolve_single_pass."""
+    rows = []
+    for trial in range(trials):
+        stream = substream(seed, trial)
+        requests = reference_requests(net, traffic, stream)
+        survivors = resolve_single_pass(net, requests, policy, stream, budgets)
+        rows.append((len(requests), {m: len(v) for m, v in survivors.items()}))
+    return rows
+
+
+def kernel_counts(net, traffic, budgets, trials, seed):
+    perm = traffic.permutation
+    perm_dests = None if perm is None else permutation_dests(net, perm)
+    _, dests, _ = sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
+    survivors = resolve_batch(net, dests, budgets)
+    return [
+        (int(np.count_nonzero(dests[t] >= 0)), {m: int(alive[t].sum()) for m, alive in survivors.items()})
+        for t in range(trials)
+    ]
+
+
+def assert_report_matches(report, rows, modes):
+    """monte_carlo's statistics, recomputed from reference per-trial counts."""
+    offered = sum(r[0] for r in rows)
+    assert [s.mode for s in report.modes] == list(dict.fromkeys(modes))
+    for stat in report.modes:
+        arr = np.asarray([r[1][stat.mode] for r in rows], dtype=float)
+        assert stat.mean_matured == float(arr.mean())
+        assert stat.stderr == (float(np.std(arr, ddof=1) / np.sqrt(len(rows))) if len(rows) > 1 else 0.0)
+        assert stat.passability == ((arr.sum() / offered) if offered else 0.0)
+
+
+@st.composite
+def networks(draw, sizes=(4, 8, 16, 32)):
+    return build_network(draw(st.sampled_from(sizes)), draw(st.sampled_from(["omega", "baseline"])))
+
+
+loads = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.99), st.just(1.0))
+chains = st.lists(st.sampled_from(MODES), min_size=1, max_size=5)
+seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@st.composite
+def fixed_maps(draw, net):
+    """A full or partial map, its pairs listed in a shuffled order."""
+    dests = draw(st.permutations(range(net.size)))
+    keep = draw(st.lists(st.booleans(), min_size=net.size, max_size=net.size))
+    if draw(st.booleans()):
+        keep = [True] * net.size
+    pairs = [Message(s, d) for s, d, k in zip(range(net.size), dests, keep) if k]
+    return make_permutation(draw(st.permutations(pairs)), net.size)
+
+
+@st.composite
+def traffics(draw, net):
+    load = draw(loads)
+    perm = draw(st.one_of(st.none(), fixed_maps(net)))
+    return TrafficModel(load=load, permutation=perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), networks(), chains, st.integers(min_value=1, max_value=8), seeds)
+def test_kernel_matches_reference_trial_by_trial(data, net, modes, trials, seed):
+    traffic = data.draw(traffics(net))
+    budgets = [m for m in modes if m is not None]
+    assert kernel_counts(net, traffic, budgets, trials, seed) == reference_counts(
+        net, traffic, budgets, trials, seed
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(), networks(sizes=(4, 8, 16)), chains, st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=5), seeds,
+)
+def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials, per_chunk, seed):
+    traffic = data.draw(traffics(net))
+    budgets = [m for m in dict.fromkeys(modes) if m is not None]
+    rows = reference_counts(net, traffic, budgets, trials, seed)
+    with mock.patch.object(mc_kernel, "CHUNK_CELLS", per_chunk * net.size):
+        report = monte_carlo(net, traffic, modes, trials, seed)
+    assert_report_matches(report, rows, modes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), networks(sizes=(4, 8, 16)), chains, st.integers(min_value=1, max_value=10), seeds)
+def test_random_uniform_resumes_each_trial_stream(data, net, modes, trials, seed):
+    traffic = data.draw(traffics(net))
+    budgets = [m for m in dict.fromkeys(modes) if m is not None]
+    rows = reference_counts(net, traffic, budgets, trials, seed, DropPolicy.RANDOM_UNIFORM)
+    with mock.patch.object(mc_kernel, "CHUNK_CELLS", 3 * net.size):
+        report = monte_carlo(net, traffic, modes, trials, seed, DropPolicy.RANDOM_UNIFORM)
+    assert_report_matches(report, rows, modes)
+
+
+def test_workload_shaped_batch():
+    net = build_network(256, "omega")
+    traffic = TrafficModel(load=1.0)
+    assert kernel_counts(net, traffic, [1, 0], 20, 0x5EED) == reference_counts(net, traffic, [1, 0], 20, 0x5EED)
+
+
+def test_lower_switch_drop_flips_higher_switch_decision():
+    """Omega N=8, budget 1.  Every message shares its stage-1 switch, so all
+    counts are 1.  At stage 2, switch 0 holds sources 4 and 6, which tie, so
+    6 drops and its stage-1 share with source 2 dissolves.  Switch 1 holds
+    sources 0 (count 1) and 2 (count now 0), so 0 drops alone.  With counts
+    frozen at the start of the stage, 0 and 2 would tie and 2 would drop."""
+    net = build_network(8, "omega")
+    dests = [4, 5, 7, 3, 2, 0, 1, 6]
+    perm = full_permutation(net, dests)
+    reference = resolve_single_pass(net, perm.pairs, budgets=[1])[1]
+    assert sorted(reference) == [1, 2, 3, 4]
+    kernel = resolve_batch(net, np.array([dests]), [1])[1]
+    assert np.flatnonzero(kernel[0]).tolist() == [1, 2, 3, 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), networks(sizes=(8, 16, 32)), chains)
+def test_survivors_pass_validate_schedule_as_one_pass(data, net, modes):
+    """Survivors of mode k form one valid pass at budget k (allow: unlimited)."""
+    dests = data.draw(st.permutations(range(net.size)))
+    perm = full_permutation(net, dests)
+    budgets = [m for m in modes if m is not None]
+    for mode, alive in resolve_batch(net, np.array([dests]), budgets).items():
+        members = make_permutation([perm.pairs[s] for s in np.flatnonzero(alive[0])], net.size)
+        config = ScheduleConfig(budget=mode)
+        report = validate_schedule(net, members, Schedule([list(range(len(members)))], config, []))
+        assert report.ok, (mode, report.violations)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_out_of_range_seed_rejected(omega8, seed):
+    with pytest.raises(OutOfRangeError):
+        monte_carlo(omega8, TrafficModel(), [None], trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_extreme_seeds_match_reference(omega8, seed):
+    traffic = TrafficModel(load=0.6)
+    rows = reference_counts(omega8, traffic, [1, 0], 30, seed)
+    assert_report_matches(monte_carlo(omega8, traffic, [None, 1, 0], 30, seed), rows, [None, 1, 0])
+
+
+def test_map_outside_network_rejected(omega4):
+    perm = make_permutation([Message(0, 5)], 8)
+    with pytest.raises(OutOfRangeError):
+        monte_carlo(omega4, TrafficModel(permutation=perm), [None], trials=2, seed=1)
+
+
+def test_negative_budget_rejected(omega4):
+    with pytest.raises(OutOfRangeError):
+        monte_carlo(omega4, TrafficModel(), [None, -1], trials=2, seed=1)
