@@ -1,5 +1,5 @@
-"""Bandwidth analysis: the analytic stage recurrence and seeded Monte Carlo
-simulation with coupled crosstalk modes.
+"""Bandwidth analysis: the analytic stage recurrence, seeded Monte Carlo
+simulation with coupled crosstalk modes, and the random-permutation study.
 
 A "mode" names how much switch sharing a single pass tolerates:
 
@@ -21,11 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateSourceError, OutOfRangeError, ZeroTrialsError
+from .errors import DuplicateSourceError, NotPowerOfTwoError, OutOfRangeError, ZeroTrialsError
 from .mc_kernel import chunk_trials, permutation_dests, resolve_batch, sample_requests
-from .routing import Message, PermutationMap
-from .streams import Stream, check_seed, stream_after
-from .topology import NetworkSpec, Topology, interconnect
+from .routing import Message, PermutationMap, make_permutation, path_table
+from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
+from .streams import Stream, check_seed, stream_after, substream
+from .topology import NetworkSpec
 
 
 class DropPolicy(Enum):
@@ -97,7 +98,7 @@ class SimReport:
     seed: int
     policy: str
     modes: tuple[ModeStats, ...]
-    pass_histogram: dict[int, int] | None = None
+    pass_histogram: dict[int, int] | None = None  # pass count -> permutations, from random_permutation_study
 
 
 def analytic_bandwidth(stages: int, load: float) -> BandwidthCurve:
@@ -121,41 +122,6 @@ def analytic_bandwidth(stages: int, load: float) -> BandwidthCurve:
         p = 1.0 - (1.0 - p / 2.0) ** 2
         probs.append(p)
     return BandwidthCurve(size=1 << stages, load=load, stage_probabilities=tuple(probs))
-
-
-def _path_tables(net: NetworkSpec, requests: Sequence[Message]) -> tuple[list[list[int]], list[list[int]]]:
-    """Per-request, per-stage switch and outgoing-line tables (plain ints)."""
-    n = net.stages
-    switches: list[list[int]] = []
-    outlines: list[list[int]] = []
-    if net.topology is Topology.OMEGA:
-        half = (1 << (n - 1)) - 1
-        for msg in requests:
-            if not (0 <= msg.source < net.size and 0 <= msg.destination < net.size):
-                raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {net.size})")
-            window = ((msg.source & half) << (n - 1)) | (msg.destination >> 1)
-            row = [(window >> (n - k)) & half for k in range(1, n + 1)]
-            switches.append(row)
-            outlines.append(
-                [(row[k - 1] << 1) | ((msg.destination >> (n - k)) & 1) for k in range(1, n + 1)]
-            )
-    else:
-        for msg in requests:
-            if not (0 <= msg.source < net.size and 0 <= msg.destination < net.size):
-                raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {net.size})")
-            row = []
-            out = []
-            line = msg.source
-            for stage in range(1, n + 1):
-                line = interconnect(net, stage, line)
-                switch = line >> 1
-                bit = (msg.destination >> (n - stage)) & 1
-                row.append(switch)
-                out.append((switch << 1) | bit)
-                line = out[-1]
-            switches.append(row)
-            outlines.append(out)
-    return switches, outlines
 
 
 def _keep_index(group_size: int, policy: DropPolicy, stream: Stream | None) -> int:
@@ -266,7 +232,8 @@ def resolve_single_pass(
         if msg.source in seen:
             raise DuplicateSourceError(f"source {msg.source} requested twice")
         seen.add(msg.source)
-    switches, outlines = _path_tables(net, requests)
+    switches, outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests])
+    switches, outlines = switches.tolist(), outlines.tolist()
     alive = _allow_sweep(requests, outlines, net.stages, policy, stream)
     result: dict[Mode, set[int]] = {None: set(alive)}
     for budget in sorted(set(budgets), reverse=True):
@@ -319,6 +286,18 @@ def _resolve_each(
     return counts
 
 
+def _mode_stats(mode: Mode, matured: np.ndarray, offered: int) -> ModeStats:
+    """Mean, standard error and passability of per-trial survivor counts."""
+    arr = matured.astype(float)
+    stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return ModeStats(
+        mode=mode,
+        mean_matured=float(arr.mean()),
+        stderr=stderr,
+        passability=(arr.sum() / offered) if offered else 0.0,
+    )
+
+
 def monte_carlo(
     net: NetworkSpec,
     traffic: TrafficModel,
@@ -362,18 +341,7 @@ def monte_carlo(
             counts = _resolve_each(net, perm, dests, states, draws, policy, budgets)
         for m in wanted:
             matured[m].append(counts[m])
-    stats = []
-    for m in wanted:
-        arr = np.concatenate(matured[m]).astype(float)
-        stderr = float(np.std(arr, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        stats.append(
-            ModeStats(
-                mode=m,
-                mean_matured=float(arr.mean()),
-                stderr=stderr,
-                passability=(arr.sum() / offered) if offered else 0.0,
-            )
-        )
+    stats = [_mode_stats(m, np.concatenate(matured[m]), offered) for m in wanted]
     return SimReport(
         size=net.size,
         topology=net.topology.value,
@@ -382,4 +350,54 @@ def monte_carlo(
         seed=seed,
         policy=policy.value,
         modes=tuple(stats),
+    )
+
+
+def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
+    """Uniform random full permutation via a stream-driven Fisher-Yates shuffle."""
+    if size < 4 or size & (size - 1):
+        raise NotPowerOfTwoError(f"permutation size must be a power of two >= 4, got {size}")
+    dest = list(range(size))
+    for i in range(size - 1, 0, -1):
+        j = stream.below(i + 1)
+        dest[i], dest[j] = dest[j], dest[i]
+    return make_permutation((Message(s, d) for s, d in enumerate(dest)), size)
+
+
+def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: ScheduleConfig) -> SimReport:
+    """Single-pass maturation and pass counts over random full permutations.
+
+    Permutation t is drawn from substream(seed, t).  Each one is resolved
+    under LOWEST_SOURCE_WINS in the modes allow, budget=k (for a finite
+    config.budget k > 0) and free, and scheduled under config; the report's
+    pass_histogram counts permutations by pass count.
+    """
+    if trials < 1:
+        raise ZeroTrialsError(f"need at least one permutation, got {trials}")
+    modes: list[Mode] = [None]
+    if config.budget not in (None, 0):
+        modes.append(config.budget)
+    modes.append(0)
+    matured: dict[Mode, list[int]] = {m: [] for m in modes}
+    histogram: dict[int, int] = {}
+    for trial in range(trials):
+        stream = substream(seed, trial)
+        perm = generate_random_permutation(net.size, stream)
+        survivors = resolve_single_pass(net, perm.pairs, DropPolicy.LOWEST_SOURCE_WINS, stream, modes[1:])
+        for m in modes:
+            matured[m].append(len(survivors[m]))
+        if config.algorithm is Algorithm.EXACT:
+            schedule = schedule_exact(net, perm, config)
+        else:
+            schedule = schedule_greedy(net, perm, config)
+        histogram[schedule.pass_count] = histogram.get(schedule.pass_count, 0) + 1
+    return SimReport(
+        size=net.size,
+        topology=net.topology.value,
+        load=1.0,
+        trials=trials,
+        seed=seed,
+        policy=DropPolicy.LOWEST_SOURCE_WINS.value,
+        modes=tuple(_mode_stats(m, np.array(matured[m]), trials * net.size) for m in modes),
+        pass_histogram=dict(sorted(histogram.items())),
     )

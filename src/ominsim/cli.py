@@ -13,27 +13,25 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import (
-    DropPolicy,
     Mode,
     TrafficModel,
-    mode_label,
+    generate_random_permutation,  # noqa: F401 - re-exported for callers of the CLI module
     monte_carlo,
-    resolve_single_pass,
+    random_permutation_study,
 )
 from .analysis import analytic_bandwidth
 from .conflict import build_conflict_graph, edges_csv
-from .errors import NotPowerOfTwoError, ParseError, SimulatorError
-from .routing import Message, make_permutation, parse_permutation, trace_path
+from .errors import ParseError, SimulatorError
+from .routing import parse_permutation, trace_path
 from .scheduler import (
     Algorithm,
-    OrderPolicy,
     ScheduleConfig,
     schedule_exact,
     schedule_greedy,
     schedule_json,
     validate_schedule,
 )
-from .streams import Stream, check_seed, substream
+from .streams import check_seed
 from .topology import build_network, parse_topology
 
 
@@ -89,17 +87,6 @@ def _parse_mode(token: str) -> Mode:
     raise ParseError(f"bad crosstalk mode {token!r}: expected allow, free, or budget=K")
 
 
-def generate_random_permutation(size: int, stream: Stream):
-    """Uniform random full permutation via a stream-driven Fisher-Yates shuffle."""
-    if size < 4 or size & (size - 1):
-        raise NotPowerOfTwoError(f"permutation size must be a power of two >= 4, got {size}")
-    dest = list(range(size))
-    for i in range(size - 1, 0, -1):
-        j = stream.below(i + 1)
-        dest[i], dest[j] = dest[j], dest[i]
-    return make_permutation((Message(s, d) for s, d in enumerate(dest)), size)
-
-
 def _cmd_route(args) -> int:
     net = build_network(args.size, parse_topology(args.topology))
     perm = parse_permutation(_read_text(args.perm), net)
@@ -126,7 +113,6 @@ def _cmd_schedule(args) -> int:
     config = ScheduleConfig(
         budget=_parse_budget(args.budget),
         algorithm=Algorithm(args.algorithm),
-        order_policy=OrderPolicy(args.order),
     )
     if config.algorithm is Algorithm.EXACT:
         schedule = schedule_exact(net, perm, config)
@@ -143,9 +129,19 @@ def _cmd_schedule(args) -> int:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        sizes = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ParseError(f"--sizes must be comma-separated integers, got {text!r}") from None
+    if not sizes:
+        raise ParseError(f"--sizes must list at least one size, got {text!r}")
+    return sizes
+
+
+def _parse_modes(text: str) -> list[Mode]:
+    modes = [_parse_mode(tok) for tok in text.split(",") if tok]
+    if not modes:
+        raise ParseError(f"--crosstalk must list at least one mode, got {text!r}")
+    return modes
 
 
 def _bandwidth_rows(args) -> list[dict]:
@@ -170,7 +166,7 @@ def _bandwidth_rows(args) -> list[dict]:
                 }
             )
             continue
-        modes = [_parse_mode(tok) for tok in args.crosstalk.split(",") if tok]
+        modes = _parse_modes(args.crosstalk)
         report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
         for stat in report.modes:
             rows.append(
@@ -202,63 +198,31 @@ def _cmd_bandwidth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     net = build_network(args.size, parse_topology(args.topology))
-    budget = _parse_budget(args.budget)
-    modes: list[Mode] = [None]
-    if budget not in (None, 0):
-        modes.append(budget)
-    modes.append(0)
-    budgets = [m for m in modes if m is not None]
-    config = ScheduleConfig(budget=budget, algorithm=Algorithm(args.algorithm))
+    config = ScheduleConfig(budget=_parse_budget(args.budget), algorithm=Algorithm(args.algorithm))
     if args.random_perms < 1:
         raise ParseError(f"--random-perms must be >= 1, got {args.random_perms}")
-
-    matured: dict[Mode, list[int]] = {m: [] for m in modes}
-    pass_counts: list[int] = []
-    for trial in range(args.random_perms):
-        stream = substream(args.seed, trial)
-        perm = generate_random_permutation(args.size, stream)
-        survivors = resolve_single_pass(net, perm.pairs, DropPolicy.LOWEST_SOURCE_WINS, stream, budgets)
-        for m in modes:
-            matured[m].append(len(survivors[m]))
-        if config.algorithm is Algorithm.EXACT:
-            schedule = schedule_exact(net, perm, config)
-        else:
-            schedule = schedule_greedy(net, perm, config)
-        pass_counts.append(schedule.pass_count)
-
-    trials = args.random_perms
-    histogram = {}
-    for count in sorted(set(pass_counts)):
-        histogram[str(count)] = pass_counts.count(count)
-    mode_rows = []
-    for m in modes:
-        values = matured[m]
-        mean = sum(values) / trials
-        if trials > 1:
-            var = sum((v - mean) ** 2 for v in values) / (trials - 1)
-            stderr = (var / trials) ** 0.5
-        else:
-            stderr = 0.0
-        mode_rows.append(
-            {
-                "mode": mode_label(m),
-                "mean_matured": _jnum(mean),
-                "stderr": _jnum(stderr),
-                "passability": _jnum(mean / net.size),
-            }
-        )
+    report = random_permutation_study(net, args.random_perms, args.seed, config)
+    histogram = report.pass_histogram
     doc = {
-        "size": net.size,
-        "topology": net.topology.value,
-        "load": 1.0,
-        "trials": trials,
-        "seed": args.seed,
-        "policy": DropPolicy.LOWEST_SOURCE_WINS.value,
-        "budget": "unlimited" if budget is None else budget,
+        "size": report.size,
+        "topology": report.topology,
+        "load": report.load,
+        "trials": report.trials,
+        "seed": report.seed,
+        "policy": report.policy,
+        "budget": "unlimited" if config.budget is None else config.budget,
         "algorithm": config.algorithm.value,
-        "modes": mode_rows,
-        "pass_histogram": histogram,
-        "mean_passes": _jnum(sum(pass_counts) / trials),
+        "modes": [
+            {
+                "mode": stat.label,
+                "mean_matured": _jnum(stat.mean_matured),
+                "stderr": _jnum(stat.stderr),
+                "passability": _jnum(stat.passability),
+            }
+            for stat in report.modes
+        ],
+        "pass_histogram": {str(count): n for count, n in histogram.items()},
+        "mean_passes": _jnum(sum(count * n for count, n in histogram.items()) / report.trials),
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
@@ -290,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--budget", default="0", help="crosstalk budget K or 'unlimited'")
     p.add_argument("--algorithm", default="greedy", choices=[a.value for a in Algorithm])
-    p.add_argument("--order", default="source-ascending", choices=[o.value for o in OrderPolicy])
     p.set_defaults(handler=_cmd_schedule)
 
     p = sub.add_parser("bandwidth", help="analytic or simulated bandwidth table")

@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import combinations
 
 from .errors import SameSourceError
-from .routing import Message, PermutationMap, routing_bit, stage_switches
+from .routing import Message, PermutationMap, path_table, trace_path
 from .topology import NetworkSpec
 
 
@@ -35,50 +35,31 @@ class ConflictEdge:
 
 @dataclass
 class ConflictGraph:
+    """Messages as vertices; neighbours[v] maps each neighbour of v to the
+    edge joining them."""
+
     vertex_count: int
     edges: list[ConflictEdge]
-    _by_pair: dict[tuple[int, int], ConflictEdge] = field(default_factory=dict, repr=False)
+    neighbours: list[dict[int, ConflictEdge]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._by_pair:
-            self._by_pair = {(e.a, e.b): e for e in self.edges}
+        self.neighbours = [{} for _ in range(self.vertex_count)]
+        for e in self.edges:
+            self.neighbours[e.a][e.b] = e
+            self.neighbours[e.b][e.a] = e
 
     def edge(self, a: int, b: int) -> ConflictEdge | None:
-        return self._by_pair.get((min(a, b), max(a, b)))
+        return self.neighbours[a].get(b)
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.a, e.b))
+        return len(self.neighbours[v])
 
     def max_degree(self) -> int:
-        if not self.edges:
-            return 0
-        degree = [0] * self.vertex_count
-        for e in self.edges:
-            degree[e.a] += 1
-            degree[e.b] += 1
-        return max(degree)
-
-
-def _compare_rows(
-    net: NetworkSpec,
-    row_a: tuple[int, ...],
-    row_b: tuple[int, ...],
-    dest_a: int,
-    dest_b: int,
-) -> list[tuple[int, ConflictKind]]:
-    found: list[tuple[int, ConflictKind]] = []
-    for stage in range(1, net.stages + 1):
-        if row_a[stage - 1] != row_b[stage - 1]:
-            continue
-        if routing_bit(net, dest_a, stage) == routing_bit(net, dest_b, stage):
-            found.append((stage, ConflictKind.LINK_CONFLICT))
-            break
-        found.append((stage, ConflictKind.SWITCH_CROSSTALK))
-    return found
+        return max(map(len, self.neighbours), default=0)
 
 
 def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int, ConflictKind]]:
-    """Stages where the two paths share a switch, with the conflict kind.
+    """Stages where the two traced paths share a switch, with the conflict kind.
 
     A link conflict merges the two paths onto one line, so comparison stops
     there: whatever the traces do afterwards is an artifact of a collision
@@ -86,28 +67,44 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     """
     if a.source == b.source:
         raise SameSourceError(f"both messages start at source {a.source}")
-    return _compare_rows(
-        net, stage_switches(net, a), stage_switches(net, b), a.destination, b.destination
-    )
+    found: list[tuple[int, ConflictKind]] = []
+    for ha, hb in zip(trace_path(net, a).hops, trace_path(net, b).hops):
+        if ha.switch != hb.switch:
+            continue
+        if ha.out_port == hb.out_port:
+            found.append((ha.stage, ConflictKind.LINK_CONFLICT))
+            break
+        found.append((ha.stage, ConflictKind.SWITCH_CROSSTALK))
+    return found
 
 
 def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGraph:
-    """Edges over all message-index pairs, in lexicographic pair order."""
-    rows = [stage_switches(net, msg) for msg in perm.pairs]
+    """Edges in lexicographic (a, b) order, a < b message indices.
+
+    Only messages on one switch at one stage are compared: each stage
+    buckets the messages by switch, and a pair's shared stages are collected
+    from the buckets in stage order.
+    """
+    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    out_lines = out_lines.tolist()
+    shared: dict[tuple[int, int], list[int]] = {}
+    for k, column in enumerate(switches.T.tolist()):
+        buckets: dict[int, list[int]] = {}
+        for i, switch in enumerate(column):
+            buckets.setdefault(switch, []).append(i)
+        for members in buckets.values():
+            for pair in combinations(members, 2):
+                shared.setdefault(pair, []).append(k)
     edges = []
-    for i, j in combinations(range(len(perm.pairs)), 2):
-        shared = _compare_rows(
-            net, rows[i], rows[j], perm.pairs[i].destination, perm.pairs[j].destination
-        )
-        if shared:
-            edges.append(
-                ConflictEdge(
-                    a=i,
-                    b=j,
-                    stages=tuple(stage for stage, _ in shared),
-                    kinds=tuple(kind for _, kind in shared),
-                )
-            )
+    for a, b in sorted(shared):
+        kinds = []
+        for k in shared[a, b]:
+            if out_lines[a][k] == out_lines[b][k]:
+                kinds.append(ConflictKind.LINK_CONFLICT)
+                break
+            kinds.append(ConflictKind.SWITCH_CROSSTALK)
+        stages = tuple(k + 1 for k in shared[a, b][: len(kinds)])
+        edges.append(ConflictEdge(a=a, b=b, stages=stages, kinds=tuple(kinds)))
     return ConflictGraph(vertex_count=len(perm.pairs), edges=edges)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DuplicateSourceError, OutOfRangeError
 from .routing import PermutationMap
 from .streams import MASK64, stream_draws, trial_states
-from .topology import NetworkSpec, interconnect
+from .topology import NetworkSpec, wiring
 
 CHUNK_CELLS = 1 << 16
 """Trials times input lines per chunk, which bounds the kernel's memory."""
@@ -42,12 +42,9 @@ def chunk_trials(net: NetworkSpec) -> int:
 
 @lru_cache(maxsize=16)
 def _feeders(net: NetworkSpec) -> np.ndarray:
-    """(n, N) read-only wiring: row k gives, for every line entering stage
-    k + 1, the line that feeds it."""
-    feeders = np.empty((net.stages, net.size), dtype=np.intp)
-    lines = np.arange(net.size)
-    for stage in range(1, net.stages + 1):
-        feeders[stage - 1, [interconnect(net, stage, line) for line in range(net.size)]] = lines
+    """(n, N) read-only inverse of the wiring table: row k gives, for every
+    line entering stage k + 1, the line that feeds it."""
+    feeders = np.argsort(wiring(net), axis=1)
     feeders.flags.writeable = False
     return feeders
 

@@ -1,10 +1,12 @@
 """Destination-tag routing: path traces, the sliding-window switch formula,
-and the permutation file format.
+the path table, and the permutation file format.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateDestinationError,
@@ -13,7 +15,7 @@ from .errors import (
     ParseError,
     UnsupportedTopologyError,
 )
-from .topology import NetworkSpec, Topology, interconnect
+from .topology import NetworkSpec, Topology, interconnect, wiring
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,26 @@ def switch_at_stage(net: NetworkSpec, msg: Message, stage: int) -> int:
     return (window >> (n - stage)) & half
 
 
-def stage_switches(net: NetworkSpec, msg: Message) -> tuple[int, ...]:
-    """Per-stage switch row, using the window formula where it applies."""
-    if net.topology is Topology.OMEGA:
-        return tuple(switch_at_stage(net, msg, k) for k in range(1, net.stages + 1))
-    return trace_path(net, msg).switches()
+def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Switch and out-line of every message at every stage, as two (M, n)
+    integer arrays, found by walking the wiring table.  Row i follows
+    sources[i] -> dests[i]; entry [i, k - 1] belongs to stage k."""
+    sources = np.asarray(sources, dtype=np.intp)
+    dests = np.asarray(dests, dtype=np.intp)
+    bad = (sources < 0) | (sources >= net.size) | (dests < 0) | (dests >= net.size)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OutOfRangeError(f"endpoints of {sources[i]}->{dests[i]} outside [0, {net.size})")
+    n = net.stages
+    switches = np.empty((sources.size, n), dtype=np.intp)
+    out_lines = np.empty_like(switches)
+    line = sources
+    for k, row in enumerate(wiring(net)):
+        line = row[line]
+        switches[:, k] = line >> 1
+        line = (line & ~1) | ((dests >> (n - 1 - k)) & 1)
+        out_lines[:, k] = line
+    return switches, out_lines
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:

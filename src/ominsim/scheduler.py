@@ -26,16 +26,10 @@ class Algorithm(Enum):
     EXACT = "exact"
 
 
-class OrderPolicy(Enum):
-    SOURCE_ASCENDING = "source-ascending"
-    DEGREE_DESCENDING = "degree-descending"
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
     budget: int | None = 0  # None means unlimited crosstalk
     algorithm: Algorithm = Algorithm.GREEDY_ORDER
-    order_policy: OrderPolicy = OrderPolicy.SOURCE_ASCENDING
     exact_cap: int = 20
 
 
@@ -68,47 +62,30 @@ class ValidationReport:
         return not self.violations
 
 
-def _pair_table(graph: ConflictGraph) -> dict[tuple[int, int], tuple[tuple[int, ...], bool]]:
-    return {
-        (e.a, e.b): (e.stages, e.has_link_conflict)
-        for e in graph.edges
-    }
-
-
 def _message_order(perm: PermutationMap, graph: ConflictGraph, config: ScheduleConfig) -> list[int]:
-    indices = list(range(len(perm.pairs)))
-    by_source = sorted(indices, key=lambda i: perm.pairs[i].source)
-    degree_desc = config.algorithm is Algorithm.WELSH_POWELL or (
-        config.order_policy is OrderPolicy.DEGREE_DESCENDING
-    )
-    if not degree_desc:
+    by_source = sorted(range(len(perm.pairs)), key=lambda i: perm.pairs[i].source)
+    if config.algorithm is not Algorithm.WELSH_POWELL:
         return by_source
-    degree = [0] * len(indices)
-    for e in graph.edges:
-        degree[e.a] += 1
-        degree[e.b] += 1
-    return sorted(by_source, key=lambda i: -degree[i])
+    return sorted(by_source, key=lambda i: -graph.degree(i))
 
 
 def _admission(
     candidate: int,
-    members: list[int],
-    stage_sets: dict[int, set[int]],
-    pairs: dict[tuple[int, int], tuple[tuple[int, ...], bool]],
+    stage_set: dict[int, set[int]],
+    graph: ConflictGraph,
     budget: int | None,
 ) -> dict[int, tuple[int, ...]] | None:
-    """Stages the candidate would share with each member, or None if adding it
-    breaks the pass.  Re-checks every member: one more message can push an
-    existing one over budget."""
+    """Stages the candidate would share with each of its neighbours in the
+    pass (stage_set: member -> its shared stages), or None if adding it
+    breaks the pass.  Re-checks those neighbours: one more message can push
+    an existing one over budget."""
     added: dict[int, tuple[int, ...]] = {}
-    for m in members:
-        info = pairs.get((min(candidate, m), max(candidate, m)))
-        if info is None:
+    for m, edge in graph.neighbours[candidate].items():
+        if m not in stage_set:
             continue
-        stages, link = info
-        if link:
+        if edge.has_link_conflict:
             return None
-        added[m] = stages
+        added[m] = edge.stages
     if budget is not None:
         mine: set[int] = set()
         for stages in added.values():
@@ -116,9 +93,29 @@ def _admission(
         if len(mine) > budget:
             return None
         for m, stages in added.items():
-            if len(stage_sets[m] | set(stages)) > budget:
+            if len(stage_set[m] | set(stages)) > budget:
                 return None
     return added
+
+
+def _join(stage_set: dict[int, set[int]], candidate: int, added: dict[int, tuple[int, ...]]) -> dict[int, set[int]]:
+    """Put an admitted candidate into the pass.  Returns, per neighbour, the
+    stages of `added` it already shared, which must survive an undo."""
+    stage_set[candidate] = set()
+    kept = {}
+    for other, stages in added.items():
+        kept[other] = stage_set[other] & set(stages)
+        stage_set[other].update(stages)
+        stage_set[candidate].update(stages)
+    return kept
+
+
+def _schedule(stage_sets: list[dict[int, set[int]]], config: ScheduleConfig) -> Schedule:
+    return Schedule(
+        passes=[sorted(s) for s in stage_sets],
+        config=config,
+        shared_counts=[{m: len(s[m]) for m in sorted(s)} for s in stage_sets],
+    )
 
 
 def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
@@ -131,28 +128,17 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
     graph = build_conflict_graph(net, perm)
-    pairs = _pair_table(graph)
-    passes: list[list[int]] = []
     stage_sets: list[dict[int, set[int]]] = []
     for m in _message_order(perm, graph, config):
-        for p, members in enumerate(passes):
-            added = _admission(m, members, stage_sets[p], pairs, config.budget)
+        for stage_set in stage_sets:
+            added = _admission(m, stage_set, graph, config.budget)
             if added is None:
                 continue
-            members.append(m)
-            stage_sets[p][m] = set()
-            for other, stages in added.items():
-                stage_sets[p][other].update(stages)
-                stage_sets[p][m].update(stages)
+            _join(stage_set, m, added)
             break
         else:
-            passes.append([m])
             stage_sets.append({m: set()})
-    return Schedule(
-        passes=[sorted(p) for p in passes],
-        config=config,
-        shared_counts=[{m: len(s[m]) for m in sorted(s)} for s in stage_sets],
-    )
+    return _schedule(stage_sets, config)
 
 
 def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
@@ -167,52 +153,36 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     if count > config.exact_cap:
         raise TooLargeError(f"{count} messages exceed the exact-solver cap of {config.exact_cap}")
     graph = build_conflict_graph(net, perm)
-    pairs = _pair_table(graph)
     budget = config.budget
-
-    members: list[list[int]] = []
     stage_sets: list[dict[int, set[int]]] = []
 
     def assign(i: int, limit: int) -> bool:
         if i == count:
             return True
-        opened = len(members)
+        opened = len(stage_sets)
         for c in range(min(opened + 1, limit)):
             if c == opened:
-                members.append([i])
                 stage_sets.append({i: set()})
                 if assign(i + 1, limit):
                     return True
-                members.pop()
                 stage_sets.pop()
                 continue
-            added = _admission(i, members[c], stage_sets[c], pairs, budget)
+            stage_set = stage_sets[c]
+            added = _admission(i, stage_set, graph, budget)
             if added is None:
                 continue
-            members[c].append(i)
-            stage_sets[c][i] = set()
-            undo = {}
-            for other, stages in added.items():
-                undo[other] = stage_sets[c][other] & set(stages)
-                stage_sets[c][other].update(stages)
-                stage_sets[c][i].update(stages)
+            kept = _join(stage_set, i, added)
             if assign(i + 1, limit):
                 return True
-            members[c].pop()
-            del stage_sets[c][i]
+            del stage_set[i]
             for other, stages in added.items():
-                stage_sets[c][other].difference_update(set(stages) - undo[other])
+                stage_set[other].difference_update(set(stages) - kept[other])
         return False
 
     for limit in range(1, count + 1):
-        members.clear()
         stage_sets.clear()
         if assign(0, limit):
-            return Schedule(
-                passes=[sorted(p) for p in members],
-                config=config,
-                shared_counts=[{m: len(s[m]) for m in sorted(s)} for s in stage_sets],
-            )
+            return _schedule(stage_sets, config)
     raise AssertionError("unreachable: singleton passes are always feasible")
 
 

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import NotPowerOfTwoError, OutOfRangeError, UnknownTopologyError
 
@@ -85,3 +88,15 @@ def interconnect(net: NetworkSpec, stage: int, line: int) -> int:
     mask = (1 << width) - 1
     local = line & mask
     return (line & ~mask) | (local >> 1) | ((local & 1) << (width - 1))
+
+
+@lru_cache(maxsize=16)
+def wiring(net: NetworkSpec) -> np.ndarray:
+    """(n, N) read-only wiring table: row k - 1 maps every line leaving
+    stage k - 1 (or the inputs) onto interconnect(net, k, line)."""
+    table = np.array(
+        [[interconnect(net, stage, line) for line in range(net.size)] for stage in range(1, net.stages + 1)],
+        dtype=np.intp,
+    )
+    table.flags.writeable = False
+    return table

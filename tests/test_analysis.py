@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from ominsim import (
     DuplicateSourceError,
     Message,
     OutOfRangeError,
+    ScheduleConfig,
     Topology,
     TrafficModel,
     ZeroTrialsError,
@@ -17,10 +20,12 @@ from ominsim import (
     monte_carlo,
     passability,
     resolve_single_pass,
+    schedule_greedy,
     splitmix64,
-    stage_switches,
     substream,
+    trace_path,
 )
+from ominsim.analysis import generate_random_permutation, random_permutation_study
 
 
 def sources(perm, indices):
@@ -100,7 +105,7 @@ class TestResolveSinglePass:
         for stage in range(net.stages):
             seen = set()
             for m in survivors:
-                switch = stage_switches(net, perm.pairs[m])[stage]
+                switch = trace_path(net, perm.pairs[m]).switches()[stage]
                 assert switch not in seen
                 seen.add(switch)
 
@@ -164,6 +169,34 @@ class TestMonteCarlo:
     def test_bad_load_rejected(self):
         with pytest.raises(OutOfRangeError):
             TrafficModel(load=-0.1)
+
+
+class TestRandomPermutationStudy:
+    def test_report_matches_per_permutation_replay(self, omega8):
+        config = ScheduleConfig(budget=1)
+        report = random_permutation_study(omega8, 40, 5, config)
+        assert (report.trials, report.seed, report.load) == (40, 5, 1.0)
+        assert [stat.label for stat in report.modes] == ["allow", "budget=1", "free"]
+        matured = {None: [], 1: [], 0: []}
+        histogram = Counter()
+        for t in range(40):
+            perm = generate_random_permutation(8, substream(5, t))
+            survivors = resolve_single_pass(omega8, perm.pairs, budgets=[1, 0])
+            for mode, values in matured.items():
+                values.append(len(survivors[mode]))
+            histogram[schedule_greedy(omega8, perm, config).pass_count] += 1
+        assert report.pass_histogram == dict(sorted(histogram.items()))
+        for stat in report.modes:
+            values = matured[stat.mode]
+            mean = sum(values) / 40
+            assert stat.mean_matured == mean
+            assert stat.passability == mean / 8
+            var = sum((v - mean) ** 2 for v in values) / 39
+            assert stat.stderr == pytest.approx((var / 40) ** 0.5, rel=1e-12)
+
+    def test_zero_permutations_rejected(self, omega8):
+        with pytest.raises(ZeroTrialsError):
+            random_permutation_study(omega8, 0, 5, ScheduleConfig())
 
 
 def test_mode_labels():

@@ -135,10 +135,18 @@ def test_written_permutation_reparses(tmp_path, capsys):
     assert parse_permutation(path.read_text(), net) == perm
 
 
-@pytest.mark.parametrize("sizes", ["8,x", "8,-4"])
+@pytest.mark.parametrize("sizes", ["8,x", "8,-4", ",", ""])
 def test_malformed_sizes_exit_2(sizes, capsys):
     assert run(["bandwidth", "--sizes", sizes]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("crosstalk", [",", ""])
+def test_empty_crosstalk_exits_2(crosstalk, capsys):
+    assert run(["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", crosstalk, "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --crosstalk must list at least one mode")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

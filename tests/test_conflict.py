@@ -16,7 +16,7 @@ from ominsim import (
     edges_csv,
     full_permutation,
     make_permutation,
-    stage_switches,
+    trace_path,
 )
 
 
@@ -40,7 +40,7 @@ def test_showcase_graph_shape(omega8, showcase):
     assert not any(e.has_link_conflict for e in graph.edges)
     # every switch at every stage carries exactly two of the eight messages
     for stage in range(1, 4):
-        occupancy = Counter(stage_switches(omega8, m)[stage - 1] for m in showcase.pairs)
+        occupancy = Counter(trace_path(omega8, m).switches()[stage - 1] for m in showcase.pairs)
         assert sorted(occupancy.values()) == [2, 2, 2, 2]
         assert sum(1 for e in graph.edges if stage in e.stages) == 4
 
@@ -87,6 +87,31 @@ def test_full_permutations_have_no_isolated_vertices(dests):
     net = build_network(8, Topology.OMEGA)
     graph = build_conflict_graph(net, full_permutation(net, dests))
     assert all(graph.degree(v) >= 1 for v in range(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_graph_equals_all_pairs_oracle(topology, size, data):
+    """The switch-bucketed graph has exactly the edges that conflict_stages
+    finds over every pair, on full maps and on partial maps that may repeat
+    destinations."""
+    net = build_network(size, topology)
+    if data.draw(st.booleans()):
+        perm = full_permutation(net, data.draw(st.permutations(tuple(range(size)))))
+    else:
+        sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
+        dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
+        perm = make_permutation([Message(s, d) for s, d in zip(sources, dests)], size)
+    graph = build_conflict_graph(net, perm)
+    expected = []
+    for a, b in combinations(range(len(perm.pairs)), 2):
+        shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
+        if shared:
+            expected.append((a, b, tuple(s for s, _ in shared), tuple(k for _, k in shared)))
+    assert [(e.a, e.b, e.stages, e.kinds) for e in graph.edges] == expected
+    for v in range(len(perm.pairs)):
+        assert graph.degree(v) == sum(1 for e in graph.edges if v in (e.a, e.b))
+    assert all(graph.edge(e.b, e.a) is e for e in graph.edges)
 
 
 def test_baseline_conflicts_use_trace():

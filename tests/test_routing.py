@@ -15,6 +15,7 @@ from ominsim import (
     full_permutation,
     make_permutation,
     parse_permutation,
+    path_table,
     switch_at_stage,
     trace_path,
 )
@@ -48,6 +49,10 @@ def test_trace_rejects_bad_endpoints(omega8):
         trace_path(omega8, Message(0, 8))
     with pytest.raises(OutOfRangeError):
         trace_path(omega8, Message(-1, 0))
+    with pytest.raises(OutOfRangeError, match="endpoints of 1->8"):
+        path_table(omega8, [0, 1], [7, 8])
+    with pytest.raises(OutOfRangeError):
+        path_table(omega8, [-1], [0])
 
 
 @pytest.mark.parametrize("size", [4, 8, 16])
@@ -88,6 +93,26 @@ def test_window_equals_trace(size, data):
     traced = trace_path(net, Message(s, d)).switches()
     for stage in range(1, net.stages + 1):
         assert switch_at_stage(net, Message(s, d), stage) == traced[stage - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64, 128, 256]), st.data())
+def test_path_table_equals_trace(topology, size, data):
+    """Rows of path_table are the traced switches and out-lines, for full
+    maps and for partial maps that may repeat destinations."""
+    net = build_network(size, topology)
+    if data.draw(st.booleans()):
+        sources = list(range(size))
+        dests = data.draw(st.permutations(sources))
+    else:
+        sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
+        dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
+    switches, out_lines = path_table(net, sources, dests)
+    assert switches.shape == out_lines.shape == (len(sources), net.stages)
+    for row, (s, d) in enumerate(zip(sources, dests)):
+        hops = trace_path(net, Message(s, d)).hops
+        assert switches[row].tolist() == [h.switch for h in hops]
+        assert out_lines[row].tolist() == [h.out_line for h in hops]
 
 
 def test_window_rejects_baseline_and_bad_stage():

@@ -9,7 +9,6 @@ from ominsim import (
     Algorithm,
     CoverageError,
     IndexOutOfRangeError,
-    OrderPolicy,
     Schedule,
     ScheduleConfig,
     TooLargeError,
@@ -188,7 +187,7 @@ def test_greedy_rejects_exact_algorithm(omega8, showcase):
 
 
 def test_degree_descending_order_is_deterministic(omega8, showcase):
-    config = ScheduleConfig(budget=0, order_policy=OrderPolicy.DEGREE_DESCENDING)
+    config = ScheduleConfig(budget=0, algorithm=Algorithm.WELSH_POWELL)
     first = schedule_greedy(omega8, showcase, config)
     second = schedule_greedy(omega8, showcase, config)
     assert first.passes == second.passes

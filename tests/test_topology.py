@@ -11,7 +11,7 @@ from ominsim import (
     interconnect,
     parse_topology,
 )
-from ominsim.topology import line_for, port_of, switch_of
+from ominsim.topology import line_for, port_of, switch_of, wiring
 
 SIZES = [4, 8, 16, 32, 64]
 
@@ -51,6 +51,17 @@ def test_interconnect_is_bijection_per_stage(size, topology):
     for stage in range(1, net.stages + 1):
         image = {interconnect(net, stage, line) for line in range(size)}
         assert image == set(range(size))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("topology", list(Topology))
+def test_wiring_table_is_read_only_interconnect(size, topology):
+    net = build_network(size, topology)
+    table = wiring(net)
+    assert table.tolist() == [
+        [interconnect(net, stage, line) for line in range(size)] for stage in range(1, net.stages + 1)
+    ]
+    assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("size", SIZES)
