@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+
+import numpy as np
 
 from .errors import SameSourceError
 from .routing import Message, PermutationMap, path_table, trace_path
@@ -78,33 +79,59 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     return found
 
 
-def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGraph:
-    """Edges in lexicographic (a, b) order, a < b message indices.
+def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[tuple[int, int, tuple[int, ...], bool]]:
+    """Every pair of rows of a path table that meets at a switch, as
+    (a, b, stages, link) with a < b, in lexicographic (a, b) order.
 
-    Only messages on one switch at one stage are compared: each stage
-    buckets the messages by switch, and a pair's shared stages are collected
-    from the buckets in stage order.
+    `stages` lists the 1-based stages where the pair shares a switch, cut
+    after its first link conflict (both on one out-line); `link` says whether
+    the last of them is one.  Each stage column is sorted by switch, and
+    rows d apart in that order are paired for d = 1, 2, ... while any of
+    them still share a switch, so a bucket of any size yields all its pairs.
     """
+    if len(switches) < 2:
+        return []
+    order = np.argsort(switches, axis=0, kind="stable")
+    ordered = np.take_along_axis(switches, order, axis=0)
+    firsts, seconds, columns = [], [], []
+    for d in range(1, len(switches)):
+        rows, cols = np.nonzero(ordered[:-d] == ordered[d:])
+        if not rows.size:
+            break
+        firsts.append(order[rows, cols])
+        seconds.append(order[rows + d, cols])  # stable: equal switches keep row order, so b > a
+        columns.append(cols)
+    if not firsts:
+        return []
+    a, b, k = np.concatenate(firsts), np.concatenate(seconds), np.concatenate(columns)
+    by_pair = np.lexsort((k, b, a))
+    a, b, k = a[by_pair], b[by_pair], k[by_pair]
+    link = out_lines[a, k] == out_lines[b, k]
+    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+    # keep a stage only if no link conflict comes before it in its pair
+    links_before = np.cumsum(link) - link
+    keep = links_before == np.maximum.accumulate(np.where(first, links_before, 0))
+    a, b, k, link, first = a[keep], b[keep], k[keep], link[keep], first[keep]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], a.size]
+    stages = (k + 1).tolist()
+    return [
+        (a_i, b_i, tuple(stages[start:end]), link_i)
+        for a_i, b_i, start, end, link_i in zip(
+            a[starts].tolist(), b[starts].tolist(), starts.tolist(), ends.tolist(), link[ends - 1].tolist()
+        )
+    ]
+
+
+def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGraph:
+    """Edges in lexicographic (a, b) order, a < b message indices, from the
+    pairs of the path table that share a switch (`shared_pairs`)."""
     switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
-    out_lines = out_lines.tolist()
-    shared: dict[tuple[int, int], list[int]] = {}
-    for k, column in enumerate(switches.T.tolist()):
-        buckets: dict[int, list[int]] = {}
-        for i, switch in enumerate(column):
-            buckets.setdefault(switch, []).append(i)
-        for members in buckets.values():
-            for pair in combinations(members, 2):
-                shared.setdefault(pair, []).append(k)
+    crosstalk, link_conflict = ConflictKind.SWITCH_CROSSTALK, ConflictKind.LINK_CONFLICT
     edges = []
-    for a, b in sorted(shared):
-        kinds = []
-        for k in shared[a, b]:
-            if out_lines[a][k] == out_lines[b][k]:
-                kinds.append(ConflictKind.LINK_CONFLICT)
-                break
-            kinds.append(ConflictKind.SWITCH_CROSSTALK)
-        stages = tuple(k + 1 for k in shared[a, b][: len(kinds)])
-        edges.append(ConflictEdge(a=a, b=b, stages=stages, kinds=tuple(kinds)))
+    for a, b, stages, link in shared_pairs(switches, out_lines):
+        kinds = (crosstalk,) * (len(stages) - 1) + (link_conflict if link else crosstalk,)
+        edges.append(ConflictEdge(a=a, b=b, stages=stages, kinds=kinds))
     return ConflictGraph(vertex_count=len(perm.pairs), edges=edges)
 
 

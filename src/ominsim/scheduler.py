@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
-from .conflict import ConflictGraph, build_conflict_graph
+from .conflict import ConflictGraph, build_conflict_graph, shared_pairs
 from .errors import CoverageError, IndexOutOfRangeError, TooLargeError
-from .routing import PermutationMap, trace_path
+from .routing import PermutationMap, path_table
 from .topology import NetworkSpec
 
 
@@ -148,6 +147,7 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     trying pass 0, 1, ... and opening at most one new pass per step; the
     first complete assignment found this way is the lexicographically
     smallest feasible assignment vector, which makes the output byte-stable.
+    A map with no messages gets no passes.
     """
     count = len(perm.pairs)
     if count > config.exact_cap:
@@ -182,8 +182,8 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     for limit in range(1, count + 1):
         stage_sets.clear()
         if assign(0, limit):
-            return _schedule(stage_sets, config)
-    raise AssertionError("unreachable: singleton passes are always feasible")
+            break
+    return _schedule(stage_sets, config)
 
 
 def validate_schedule(
@@ -192,12 +192,13 @@ def validate_schedule(
     schedule: Schedule,
     config: ScheduleConfig | None = None,
 ) -> ValidationReport:
-    """Recompute every conflict from traced paths and check the schedule.
+    """Check the schedule against conflicts recomputed pass by pass.
 
-    Deliberately avoids the window formula so it cross-checks the same
-    machinery the schedulers used.  Coverage errors (an index missing,
-    duplicated, or out of range) raise; semantic problems are returned as
-    violations.
+    Each pass's rows of the path table are paired by shared switch
+    (`shared_pairs`); nothing is read from the conflict graph the schedulers
+    used.  Coverage errors (an index missing, duplicated, or out of range)
+    raise; semantic problems are returned as violations: link conflicts in
+    (a, b) order, then budget overruns in member order, per pass.
     """
     config = config or schedule.config
     count = len(perm.pairs)
@@ -213,28 +214,24 @@ def validate_schedule(
         missing = sorted(set(range(count)) - seen)
         raise CoverageError(f"messages {missing} missing from the schedule")
 
-    paths = [trace_path(net, msg) for msg in perm.pairs]
+    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
     violations: list[Violation] = []
     semi: list[bool] = []
     for pi, members in enumerate(schedule.passes):
-        shared: dict[int, set[int]] = {m: set() for m in members}
-        switch_shared = False
-        for a, b in combinations(sorted(members), 2):
-            for stage in range(1, net.stages + 1):
-                ha, hb = paths[a].hops[stage - 1], paths[b].hops[stage - 1]
-                if ha.switch != hb.switch:
-                    continue
-                switch_shared = True
-                shared[a].add(stage)
-                shared[b].add(stage)
-                if ha.out_port == hb.out_port:
-                    violations.append(Violation("link", pi, (a, b), (stage,)))
-                    break  # merged onto one line; later stages not comparable
+        rows = sorted(members)
+        pairs = shared_pairs(switches[rows], out_lines[rows])
+        shared: dict[int, set[int]] = {m: set() for m in rows}
+        for a, b, stages, link in pairs:
+            a, b = rows[a], rows[b]
+            shared[a].update(stages)
+            shared[b].update(stages)
+            if link:
+                violations.append(Violation("link", pi, (a, b), stages[-1:]))
         if config.budget is not None:
-            for m in sorted(members):
+            for m in rows:
                 if len(shared[m]) > config.budget:
                     violations.append(Violation("budget", pi, (m,), tuple(sorted(shared[m]))))
-        semi.append(not switch_shared)
+        semi.append(not pairs)
     return ValidationReport(violations=violations, semi_permutation_passes=semi)
 
 

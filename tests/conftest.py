@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from ominsim import build_network, full_permutation
+from ominsim import Message, build_network, full_permutation, make_permutation
 
 # 8-input full permutation used as the worked example throughout the suite:
 # sources 0..7 mapped to 7 0 5 2 3 6 1 4.
@@ -20,3 +21,13 @@ def omega4():
 @pytest.fixture
 def showcase(omega8):
     return full_permutation(omega8, SHOWCASE_DESTS)
+
+
+def draw_map(data, net):
+    """A full map, or a partial map that may repeat destinations."""
+    size = net.size
+    if data.draw(st.booleans()):
+        return full_permutation(net, data.draw(st.permutations(tuple(range(size)))))
+    sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
+    dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
+    return make_permutation([Message(s, d) for s, d in zip(sources, dests)], size)

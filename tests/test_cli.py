@@ -32,6 +32,17 @@ def test_schedule_unlimited(perm_file, capsys):
     assert "passes: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algorithm", ["greedy", "welsh-powell", "exact"])
+def test_schedule_comment_only_file(tmp_path, capsys, algorithm):
+    path = tmp_path / "empty.perm"
+    path.write_text("# no messages\n")
+    code = run(["schedule", "--size", "8", "--perm", str(path), "--algorithm", algorithm])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("passes: 0\n")
+    assert json.loads(out[: out.rindex("passes:")])["passes"] == []
+
+
 def test_bandwidth_analytic_row(capsys):
     code = run(["bandwidth", "--sizes", "4", "--mode", "analytic", "--load", "1.0"])
     out = capsys.readouterr().out

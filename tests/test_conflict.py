@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,12 @@ from ominsim import (
     edges_csv,
     full_permutation,
     make_permutation,
+    path_table,
+    shared_pairs,
     trace_path,
 )
+
+from .conftest import draw_map
 
 
 def test_conflict_examples(omega8, omega4):
@@ -96,12 +101,7 @@ def test_graph_equals_all_pairs_oracle(topology, size, data):
     finds over every pair, on full maps and on partial maps that may repeat
     destinations."""
     net = build_network(size, topology)
-    if data.draw(st.booleans()):
-        perm = full_permutation(net, data.draw(st.permutations(tuple(range(size)))))
-    else:
-        sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
-        dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
-        perm = make_permutation([Message(s, d) for s, d in zip(sources, dests)], size)
+    perm = draw_map(data, net)
     graph = build_conflict_graph(net, perm)
     expected = []
     for a, b in combinations(range(len(perm.pairs)), 2):
@@ -126,3 +126,36 @@ def test_edges_csv(omega8, showcase):
     assert lines[0] == "indexA,indexB,stages,kinds"
     assert lines[1] == "0,2,2,crosstalk"
     assert len(lines) == 13
+
+
+def test_shared_pairs_of_fewer_than_two_rows():
+    for rows in (0, 1):
+        table = np.zeros((rows, 3), dtype=np.intp)
+        assert shared_pairs(table, table) == []
+
+
+def test_shared_pairs_pairs_every_member_of_a_crowded_switch():
+    """Three of four rows sit on switch 5 at stage 1; two of them also share
+    out-line 11 there."""
+    switches = np.array([[5, 0], [5, 1], [2, 2], [5, 3]])
+    out_lines = np.array([[10, 0], [11, 2], [4, 4], [11, 6]])
+    assert shared_pairs(switches, out_lines) == [
+        (0, 1, (1,), False),
+        (0, 3, (1,), False),
+        (1, 3, (1,), True),
+    ]
+
+
+def test_shared_pairs_of_one_destination_are_every_pair_once(omega8):
+    """Five messages to destination 0 end on one out-line, so each pair of
+    them meets at least at the last stage, and every pair ends in a link
+    conflict."""
+    pairs = shared_pairs(*path_table(omega8, range(5), [0] * 5))
+    assert [(a, b) for a, b, _, _ in pairs] == list(combinations(range(5), 2))
+    assert all(link for _, _, _, link in pairs)
+
+
+def test_shared_pairs_stop_at_the_first_link_conflict():
+    switches = np.zeros((2, 4), dtype=np.intp)
+    out_lines = np.array([[0, 0, 0, 0], [1, 0, 0, 0]])
+    assert shared_pairs(switches, out_lines) == [(0, 1, (1, 2), True)]

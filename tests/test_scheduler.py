@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +13,19 @@ from ominsim import (
     ScheduleConfig,
     TooLargeError,
     Topology,
+    Violation,
     build_conflict_graph,
     build_network,
     full_permutation,
+    make_permutation,
     schedule_exact,
     schedule_greedy,
     schedule_json,
+    trace_path,
     validate_schedule,
 )
+
+from .conftest import draw_map
 
 
 def exact_cfg(budget):
@@ -201,3 +206,64 @@ def test_schedule_json_field_order(omega8, showcase):
     assert doc["budget"] == 0 and doc["violations"] == []
     unlimited = schedule_exact(omega8, showcase, exact_cfg(None))
     assert json.loads(schedule_json(omega8, showcase, unlimited))["budget"] == "unlimited"
+
+
+def _all_pairs_validation(net, perm, passes, budget):
+    """The all-pairs check on traced paths that validate_schedule replaced:
+    (violations, semi_permutation_passes)."""
+    paths = [trace_path(net, msg) for msg in perm.pairs]
+    violations = []
+    semi = []
+    for pi, members in enumerate(passes):
+        shared = {m: set() for m in members}
+        switch_shared = False
+        for a, b in combinations(sorted(members), 2):
+            for stage in range(1, net.stages + 1):
+                ha, hb = paths[a].hops[stage - 1], paths[b].hops[stage - 1]
+                if ha.switch != hb.switch:
+                    continue
+                switch_shared = True
+                shared[a].add(stage)
+                shared[b].add(stage)
+                if ha.out_port == hb.out_port:
+                    violations.append(Violation("link", pi, (a, b), (stage,)))
+                    break
+        if budget is not None:
+            for m in sorted(members):
+                if len(shared[m]) > budget:
+                    violations.append(Violation("budget", pi, (m,), tuple(sorted(shared[m]))))
+        semi.append(not switch_shared)
+    return violations, semi
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_validator_equals_all_pairs_oracle(topology, size, data):
+    """Any partition, valid or not, of a full map or of a partial map that
+    may repeat destinations gets the oracle's violations, in its order, and
+    its semi-permutation flags."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    count = len(perm.pairs)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    order = data.draw(st.permutations(range(count)))
+    passes = [[m for m in order if labels[m] == p] for p in range(max(labels, default=0) + 1)]
+    budget = data.draw(st.sampled_from([0, 1, 2, None]))
+    report = validate_schedule(net, perm, Schedule(passes, ScheduleConfig(budget=budget), []))
+    assert (report.violations, report.semi_permutation_passes) == _all_pairs_validation(net, perm, passes, budget)
+
+
+def test_empty_pass_is_a_semi_permutation(omega8, showcase):
+    passes = [[0, 1], [], [2, 3], [4, 5], [6, 7]]
+    report = validate_schedule(omega8, showcase, Schedule(passes, ScheduleConfig(budget=0), []))
+    assert report.ok
+    assert report.semi_permutation_passes == [True] * 5
+
+
+def test_empty_map_schedules_to_no_passes(omega8):
+    empty = make_permutation([], 8)
+    for config in (ScheduleConfig(budget=0), exact_cfg(0), exact_cfg(None)):
+        scheduler = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
+        schedule = scheduler(omega8, empty, config)
+        assert schedule.passes == [] and schedule.shared_counts == []
+        assert validate_schedule(omega8, empty, schedule).ok
