@@ -11,12 +11,15 @@ A "mode" names how much switch sharing a single pass tolerates:
 Modes are resolved per trial as a chain of drop phases, each starting from
 the previous (more permissive) survivor set, so survivor sets are nested by
 construction and with/without-crosstalk comparisons are variance-free.
+Every contest keeps the lowest source.  resolve_single_pass is the Python
+reference; passability, monte_carlo and the random-permutation study
+resolve through the vectorised mc_kernel.resolve_batch, which matches it
+trial by trial.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -25,14 +28,12 @@ from .errors import DuplicateSourceError, NotPowerOfTwoError, OutOfRangeError, Z
 from .mc_kernel import chunk_trials, permutation_dests, resolve_batch, sample_requests
 from .routing import Message, PermutationMap, make_permutation, path_table
 from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
-from .streams import Stream, check_seed, stream_after, substream
+from .streams import Stream, check_seed, substream
 from .topology import NetworkSpec
 
 
-class DropPolicy(Enum):
-    LOWEST_SOURCE_WINS = "lowest-source"
-    RANDOM_UNIFORM = "random-uniform"
-
+POLICY = "lowest-source"
+"""The drop rule every resolution applies, recorded in each SimReport."""
 
 Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budget
 
@@ -124,21 +125,7 @@ def analytic_bandwidth(stages: int, load: float) -> BandwidthCurve:
     return BandwidthCurve(size=1 << stages, load=load, stage_probabilities=tuple(probs))
 
 
-def _keep_index(group_size: int, policy: DropPolicy, stream: Stream | None) -> int:
-    if policy is DropPolicy.LOWEST_SOURCE_WINS:
-        return 0
-    if stream is None:
-        raise ValueError("RANDOM_UNIFORM policy needs a stream")
-    return stream.below(group_size)
-
-
-def _allow_sweep(
-    requests: Sequence[Message],
-    outlines: list[list[int]],
-    stages: int,
-    policy: DropPolicy,
-    stream: Stream | None,
-) -> set[int]:
+def _allow_sweep(requests: Sequence[Message], outlines: list[list[int]], stages: int) -> set[int]:
     """Drop all but one of every group contesting an output line, stage by stage."""
     alive = set(range(len(requests)))
     for stage in range(stages):
@@ -147,12 +134,7 @@ def _allow_sweep(
             groups.setdefault(outlines[m][stage], []).append(m)
         for line in sorted(groups):
             group = sorted(groups[line], key=lambda m: requests[m].source)
-            if len(group) < 2:
-                continue
-            winner = group[_keep_index(len(group), policy, stream)]
-            for m in group:
-                if m != winner:
-                    alive.discard(m)
+            alive.difference_update(group[1:])
     return alive
 
 
@@ -162,14 +144,12 @@ def _budget_sweep(
     stages: int,
     start: set[int],
     budget: int,
-    policy: DropPolicy,
-    stream: Stream | None,
 ) -> set[int]:
     """Stage-by-stage enforcement of a shared-stage budget.
 
     At each contested switch the share is tolerated while every occupant
     stays within budget; otherwise the occupant with the largest excess is
-    dropped (ties broken by policy) and its earlier shares dissolve.
+    dropped (the highest source on a tie) and its earlier shares dissolve.
     """
     alive = set(start)
     shared: dict[int, set[int]] = {m: set() for m in alive}
@@ -203,20 +183,21 @@ def _budget_sweep(
                         partners[m][stage] = [x for x in group if x != m]
                     break
                 candidates = [m for m in group if counts[m] == worst]
-                if len(candidates) == 1:
-                    drop(candidates[0])
-                else:
-                    keep = candidates[_keep_index(len(candidates), policy, stream)]
-                    losers = [m for m in candidates if m != keep]
-                    drop(losers[0] if policy is DropPolicy.RANDOM_UNIFORM else losers[-1])
+                drop(candidates[-1])
     return alive
+
+
+def _check_budgets(budgets: Sequence[int]) -> None:
+    """Budgets are >= 0; resolve_batch does not check, and at -1 it would
+    drop every contested message."""
+    for budget in budgets:
+        if budget < 0:
+            raise OutOfRangeError(f"budget must be >= 0, got {budget}")
 
 
 def resolve_single_pass(
     net: NetworkSpec,
     requests: Sequence[Message],
-    policy: DropPolicy = DropPolicy.LOWEST_SOURCE_WINS,
-    stream: Stream | None = None,
     budgets: Sequence[int] = (),
 ) -> dict[Mode, set[int]]:
     """Resolve one simultaneous batch and report nested survivor sets.
@@ -232,58 +213,25 @@ def resolve_single_pass(
         if msg.source in seen:
             raise DuplicateSourceError(f"source {msg.source} requested twice")
         seen.add(msg.source)
+    _check_budgets(budgets)
     switches, outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests])
     switches, outlines = switches.tolist(), outlines.tolist()
-    alive = _allow_sweep(requests, outlines, net.stages, policy, stream)
+    alive = _allow_sweep(requests, outlines, net.stages)
     result: dict[Mode, set[int]] = {None: set(alive)}
     for budget in sorted(set(budgets), reverse=True):
-        if budget < 0:
-            raise OutOfRangeError(f"budget must be >= 0, got {budget}")
-        alive = _budget_sweep(requests, switches, net.stages, alive, budget, policy, stream)
+        alive = _budget_sweep(requests, switches, net.stages, alive, budget)
         result[budget] = set(alive)
     return result
 
 
-def passability(
-    net: NetworkSpec,
-    perm: PermutationMap,
-    mode: Mode = None,
-    policy: DropPolicy = DropPolicy.LOWEST_SOURCE_WINS,
-    stream: Stream | None = None,
-) -> float:
+def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> float:
     """Fraction of the map's requests that mature in a single pass."""
+    budgets = [] if mode is None else [mode]
+    _check_budgets(budgets)
     if not perm.pairs:
         return 0.0
-    budgets = [] if mode is None else [mode]
-    survivors = resolve_single_pass(net, perm.pairs, policy, stream, budgets)[mode]
-    return len(survivors) / len(perm.pairs)
-
-
-def _resolve_each(
-    net: NetworkSpec,
-    perm: PermutationMap | None,
-    dests: np.ndarray,
-    states: np.ndarray,
-    draws: np.ndarray,
-    policy: DropPolicy,
-    budgets: Sequence[int],
-) -> dict[Mode, list[int]]:
-    """Survivor counts of sampled trials, one resolve_single_pass call each.
-
-    Requests keep the reference order (ascending sources, or the map's order)
-    and each trial's stream resumes after its sampling draws, so random drop
-    decisions come from the same draws as in a sequential run.
-    """
-    counts: dict[Mode, list[int]] = {None: [], **{b: [] for b in budgets}}
-    for row, state, used in zip(dests.tolist(), states.tolist(), draws.tolist()):
-        if perm is None:
-            requests = [Message(s, d) for s, d in enumerate(row) if d >= 0]
-        else:
-            requests = [msg for msg in perm.pairs if row[msg.source] >= 0]
-        survivors = resolve_single_pass(net, requests, policy, stream_after(state, used), budgets)
-        for m, values in counts.items():
-            values.append(len(survivors[m]))
-    return counts
+    alive = resolve_batch(net, permutation_dests(net, perm)[None], budgets)[mode]
+    return int(alive.sum()) / len(perm.pairs)
 
 
 def _mode_stats(mode: Mode, matured: np.ndarray, offered: int) -> ModeStats:
@@ -304,16 +252,14 @@ def monte_carlo(
     modes: Sequence[Mode],
     trials: int,
     seed: int,
-    policy: DropPolicy = DropPolicy.LOWEST_SOURCE_WINS,
 ) -> SimReport:
     """Seeded simulation of single-pass delivery under the given modes.
 
     Trial t draws everything from substream(seed, t), so results do not
     depend on execution order and rerunning with the same arguments is
-    byte-identical.  Trials are sampled in chunks (mc_kernel); under
-    LOWEST_SOURCE_WINS each chunk is resolved by the vectorised kernel,
-    which matches resolve_single_pass trial by trial, and under
-    RANDOM_UNIFORM each trial goes through resolve_single_pass itself.
+    byte-identical.  Trials are sampled and resolved in chunks by the
+    vectorised kernel (mc_kernel), which matches resolve_single_pass trial
+    by trial.
     """
     if trials < 1:
         raise ZeroTrialsError(f"need at least one trial, got {trials}")
@@ -323,9 +269,7 @@ def monte_carlo(
         if m not in wanted:
             wanted.append(m)
     budgets = [m for m in wanted if m is not None]
-    for budget in budgets:
-        if budget < 0:
-            raise OutOfRangeError(f"budget must be >= 0, got {budget}")
+    _check_budgets(budgets)
     perm = traffic.permutation
     perm_dests = None if perm is None else permutation_dests(net, perm)
     matured: dict[Mode, list] = {m: [] for m in wanted}
@@ -333,14 +277,11 @@ def monte_carlo(
     chunk = chunk_trials(net)
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
-        states, dests, draws = sample_requests(net, traffic.load, perm_dests, seed, first, count)
+        dests = sample_requests(net, traffic.load, perm_dests, seed, first, count)
         offered += int(np.count_nonzero(dests >= 0))
-        if policy is DropPolicy.LOWEST_SOURCE_WINS:
-            counts = {m: alive.sum(axis=1) for m, alive in resolve_batch(net, dests, budgets).items()}
-        else:
-            counts = _resolve_each(net, perm, dests, states, draws, policy, budgets)
+        survivors = resolve_batch(net, dests, budgets)
         for m in wanted:
-            matured[m].append(counts[m])
+            matured[m].append(survivors[m].sum(axis=1))
     stats = [_mode_stats(m, np.concatenate(matured[m]), offered) for m in wanted]
     return SimReport(
         size=net.size,
@@ -348,7 +289,7 @@ def monte_carlo(
         load=traffic.load,
         trials=trials,
         seed=seed,
-        policy=policy.value,
+        policy=POLICY,
         modes=tuple(stats),
     )
 
@@ -368,9 +309,9 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     """Single-pass maturation and pass counts over random full permutations.
 
     Permutation t is drawn from substream(seed, t).  Each one is resolved
-    under LOWEST_SOURCE_WINS in the modes allow, budget=k (for a finite
-    config.budget k > 0) and free, and scheduled under config; the report's
-    pass_histogram counts permutations by pass count.
+    in the modes allow, budget=k (for a finite config.budget k > 0) and
+    free, chunk by chunk through the vectorised kernel, and scheduled under
+    config; the report's pass_histogram counts permutations by pass count.
     """
     if trials < 1:
         raise ZeroTrialsError(f"need at least one permutation, got {trials}")
@@ -378,26 +319,27 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     if config.budget not in (None, 0):
         modes.append(config.budget)
     modes.append(0)
-    matured: dict[Mode, list[int]] = {m: [] for m in modes}
+    _check_budgets(modes[1:])
+    solve = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
+    matured: dict[Mode, list] = {m: [] for m in modes}
     histogram: dict[int, int] = {}
-    for trial in range(trials):
-        stream = substream(seed, trial)
-        perm = generate_random_permutation(net.size, stream)
-        survivors = resolve_single_pass(net, perm.pairs, DropPolicy.LOWEST_SOURCE_WINS, stream, modes[1:])
+    chunk = chunk_trials(net)
+    for first in range(0, trials, chunk):
+        stop = min(first + chunk, trials)
+        perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
+        survivors = resolve_batch(net, np.array([perm.destinations() for perm in perms]), modes[1:])
         for m in modes:
-            matured[m].append(len(survivors[m]))
-        if config.algorithm is Algorithm.EXACT:
-            schedule = schedule_exact(net, perm, config)
-        else:
-            schedule = schedule_greedy(net, perm, config)
-        histogram[schedule.pass_count] = histogram.get(schedule.pass_count, 0) + 1
+            matured[m].append(survivors[m].sum(axis=1))
+        for perm in perms:
+            passes = solve(net, perm, config).pass_count
+            histogram[passes] = histogram.get(passes, 0) + 1
     return SimReport(
         size=net.size,
         topology=net.topology.value,
         load=1.0,
         trials=trials,
         seed=seed,
-        policy=DropPolicy.LOWEST_SOURCE_WINS.value,
-        modes=tuple(_mode_stats(m, np.array(matured[m]), trials * net.size) for m in modes),
+        policy=POLICY,
+        modes=tuple(_mode_stats(m, np.concatenate(matured[m]), trials * net.size) for m in modes),
         pass_histogram=dict(sorted(histogram.items())),
     )

@@ -7,6 +7,7 @@ internal invariant fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -228,7 +229,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    leaves it unchanged, and building it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="ominsim",
         description="Simulate and analyze optical multistage interconnection networks.",

@@ -1,10 +1,11 @@
-"""Vectorised Monte Carlo kernel: sampling and lowest-source-wins resolution
-for a whole chunk of trials at once, equal trial by trial to
-resolve_single_pass.
+"""Vectorised kernel: sampling and lowest-source-wins resolution for a whole
+chunk of trials at once, equal trial by trial to resolve_single_pass.
 
 monte_carlo works through its trials in chunks of CHUNK_CELLS // N trials.
 Each chunk is sampled in one pass (sample_requests) and resolved stage by
-stage across all of its trials (resolve_batch):
+stage across all of its trials (resolve_batch).  The random-permutation
+study resolves its permutations in chunks of the same size, and passability
+resolves its one map as a single trial:
 
 * The allow sweep works in line space.  A line carries at most one live
   message, keyed source << n | destination, so each switch is one pair
@@ -68,29 +69,27 @@ def sample_requests(
     seed: int,
     first: int,
     count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Requests of trials first .. first + count - 1, drawn as documented.
 
     Draws 1 .. N are the input lines' Bernoulli(load) draws.  With uniform
     traffic (perm_dests None) draw N + 1 + r is the destination of the r-th
     active line: N is a power of two, so below(N) never rejects and keeps
-    the draw's low n bits.  Returns the trials' initial stream states, a
-    (count, N) array of each source's destination (-1 when idle) and the
-    number of draws each trial consumed.
+    the draw's low n bits.  Returns a (count, N) array of each source's
+    destination, -1 when idle.
     """
     size = net.size
-    states = trial_states(seed, first, count)
-    draws = stream_draws(states, size if perm_dests is not None else 2 * size)
+    draws = stream_draws(trial_states(seed, first, count), size if perm_dests is not None else 2 * size)
     threshold = int(load * (1 << 64))
     if threshold > MASK64:
         active = np.ones((count, size), dtype=bool)
     else:
         active = draws[:, :size] < np.uint64(threshold)
     if perm_dests is not None:
-        return states, np.where(active, perm_dests, -1), np.full(count, size)
+        return np.where(active, perm_dests, -1)
     rank = np.maximum(np.cumsum(active, axis=1) - 1, 0)
     picks = np.take_along_axis(draws[:, size:], rank, axis=1) & np.uint64(size - 1)
-    return states, np.where(active, picks.astype(np.int64), -1), size + active.sum(axis=1)
+    return np.where(active, picks.astype(np.int64), -1)
 
 
 def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +165,7 @@ def _budget_sweep(net: NetworkSpec, entering: np.ndarray, start: np.ndarray, bud
 
 
 def resolve_batch(net: NetworkSpec, dests: np.ndarray, budgets: Sequence[int] = ()) -> dict[int | None, np.ndarray]:
-    """resolve_single_pass under LOWEST_SOURCE_WINS for many trials at once.
+    """resolve_single_pass for many trials at once.
 
     dests is a (trials, N) array of each source's destination, -1 where the
     source is idle.  Returns (trials, N) boolean survivor masks by source,

@@ -66,11 +66,6 @@ class Stream:
         return self.next_u64() < threshold
 
 
-def stream_after(state: int, draws: int) -> Stream:
-    """The stream that started at `state`, after it has made `draws` draws."""
-    return Stream(state + draws * _GOLDEN)
-
-
 def substream(seed: int, index: int) -> Stream:
     """Independent stream for one trial, per the documented splitting rule."""
     check_seed(seed)

@@ -31,3 +31,19 @@ def draw_map(data, net):
     sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
     dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
     return make_permutation([Message(s, d) for s, d in zip(sources, dests)], size)
+
+
+@st.composite
+def networks(draw, sizes=(4, 8, 16, 32)):
+    return build_network(draw(st.sampled_from(sizes)), draw(st.sampled_from(["omega", "baseline"])))
+
+
+@st.composite
+def fixed_maps(draw, net):
+    """A full or partial map, its pairs listed in a shuffled order."""
+    dests = draw(st.permutations(range(net.size)))
+    keep = draw(st.lists(st.booleans(), min_size=net.size, max_size=net.size))
+    if draw(st.booleans()):
+        keep = [True] * net.size
+    pairs = [Message(s, d) for s, d, k in zip(range(net.size), dests, keep) if k]
+    return make_permutation(draw(st.permutations(pairs)), net.size)

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from ominsim import (
     Algorithm,
     ConflictKind,
-    DropPolicy,
     Message,
     ScheduleConfig,
     Topology,
@@ -154,9 +153,7 @@ def test_criterion_6_coupled_mode_dominance():
                     for s in range(size)
                     if stream.bernoulli(1.0)
                 ]
-                survivors = resolve_single_pass(
-                    net, requests, DropPolicy.LOWEST_SOURCE_WINS, stream, [0]
-                )
+                survivors = resolve_single_pass(net, requests, budgets=[0])
                 assert survivors[0] <= survivors[None]
                 diffs.append(len(survivors[None]) - len(survivors[0]))
             mean = sum(diffs) / len(diffs)

@@ -1,11 +1,12 @@
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
-    DropPolicy,
+    Algorithm,
     DuplicateSourceError,
     Message,
     OutOfRangeError,
@@ -16,16 +17,21 @@ from ominsim import (
     analytic_bandwidth,
     build_network,
     full_permutation,
+    make_permutation,
     mode_label,
     monte_carlo,
     passability,
     resolve_single_pass,
+    schedule_exact,
     schedule_greedy,
     splitmix64,
     substream,
     trace_path,
 )
+from ominsim import mc_kernel
 from ominsim.analysis import generate_random_permutation, random_permutation_study
+
+from .conftest import SHOWCASE_DESTS, fixed_maps, networks
 
 
 def sources(perm, indices):
@@ -109,20 +115,6 @@ class TestResolveSinglePass:
                 assert switch not in seen
                 seen.add(switch)
 
-    def test_random_uniform_policy_is_stream_deterministic(self, omega8, showcase):
-        first = resolve_single_pass(
-            omega8, showcase.pairs, DropPolicy.RANDOM_UNIFORM, substream(5, 0), [0]
-        )
-        second = resolve_single_pass(
-            omega8, showcase.pairs, DropPolicy.RANDOM_UNIFORM, substream(5, 0), [0]
-        )
-        assert first == second
-        assert first[0] <= first[None]
-
-    def test_random_uniform_requires_stream(self, omega8, showcase):
-        with pytest.raises(ValueError):
-            resolve_single_pass(omega8, showcase.pairs, DropPolicy.RANDOM_UNIFORM, None, [0])
-
 
 class TestPassability:
     def test_showcase_values(self, omega8, showcase):
@@ -131,6 +123,21 @@ class TestPassability:
 
     def test_identity_allow(self, omega4):
         assert passability(omega4, full_permutation(omega4, [0, 1, 2, 3]), None) == 1.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), networks(), st.sampled_from([None, 0, 1, 2]))
+    def test_matches_reference_resolver(self, data, net, mode):
+        perm = data.draw(fixed_maps(net))
+        budgets = [] if mode is None else [mode]
+        survivors = resolve_single_pass(net, perm.pairs, budgets)[mode]
+        expected = len(survivors) / len(perm.pairs) if perm.pairs else 0.0
+        assert passability(net, perm, mode) == expected
+
+    @pytest.mark.parametrize("pairs", [SHOWCASE_DESTS, ()], ids=["showcase", "empty"])
+    def test_negative_mode_rejected(self, omega8, pairs):
+        perm = make_permutation([Message(s, d) for s, d in enumerate(pairs)], 8)
+        with pytest.raises(OutOfRangeError):
+            passability(omega8, perm, -1)
 
 
 class TestMonteCarlo:
@@ -172,19 +179,26 @@ class TestMonteCarlo:
 
 
 class TestRandomPermutationStudy:
-    def test_report_matches_per_permutation_replay(self, omega8):
-        config = ScheduleConfig(budget=1)
-        report = random_permutation_study(omega8, 40, 5, config)
+    @pytest.mark.parametrize("per_chunk", [None, 3], ids=["one-chunk", "chunks-of-3"])
+    @pytest.mark.parametrize("algorithm", [Algorithm.GREEDY_ORDER, Algorithm.EXACT], ids=lambda a: a.value)
+    @pytest.mark.parametrize("topology", ["omega", "baseline"])
+    def test_report_matches_per_permutation_replay(self, topology, algorithm, per_chunk):
+        net = build_network(8, topology)
+        config = ScheduleConfig(budget=1, algorithm=algorithm)
+        solve = schedule_exact if algorithm is Algorithm.EXACT else schedule_greedy
+        cells = mc_kernel.CHUNK_CELLS if per_chunk is None else per_chunk * net.size
+        with mock.patch.object(mc_kernel, "CHUNK_CELLS", cells):
+            report = random_permutation_study(net, 40, 5, config)
         assert (report.trials, report.seed, report.load) == (40, 5, 1.0)
         assert [stat.label for stat in report.modes] == ["allow", "budget=1", "free"]
         matured = {None: [], 1: [], 0: []}
         histogram = Counter()
         for t in range(40):
             perm = generate_random_permutation(8, substream(5, t))
-            survivors = resolve_single_pass(omega8, perm.pairs, budgets=[1, 0])
+            survivors = resolve_single_pass(net, perm.pairs, budgets=[1, 0])
             for mode, values in matured.items():
                 values.append(len(survivors[mode]))
-            histogram[schedule_greedy(omega8, perm, config).pass_count] += 1
+            histogram[solve(net, perm, config).pass_count] += 1
         assert report.pass_histogram == dict(sorted(histogram.items()))
         for stat in report.modes:
             values = matured[stat.mode]

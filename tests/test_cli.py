@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ominsim import NotPowerOfTwoError, parse_permutation, build_network
-from ominsim.cli import generate_random_permutation, run
+from ominsim.cli import build_parser, generate_random_permutation, run
 from ominsim.streams import substream
 
 from .conftest import SHOWCASE_DESTS
@@ -77,6 +77,19 @@ def test_bandwidth_output_is_byte_stable(tmp_path):
     assert run(argv + ["--output", str(out_a)]) == 0
     assert run(argv + ["--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_rejected_argv_leaves_the_shared_parser_unchanged(capsys):
+    valid = ["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", "allow,budget=1,free",
+             "--trials", "50", "--seed", "7", "--format", "json"]
+    build_parser.cache_clear()
+    assert run(valid) == 0
+    alone = capsys.readouterr()
+    build_parser.cache_clear()
+    assert run(["bandwidth", "--sizes", "16", "--mode", "simulate", "--format", "xml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(valid) == 0
+    assert capsys.readouterr() == alone
 
 
 def test_conflicts_csv(perm_file, capsys):

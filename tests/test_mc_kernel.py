@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
-    DropPolicy,
     Message,
     OutOfRangeError,
     Schedule,
@@ -29,6 +28,8 @@ from ominsim import (
 from ominsim import mc_kernel
 from ominsim.mc_kernel import permutation_dests, resolve_batch, sample_requests
 
+from .conftest import fixed_maps, networks
+
 MODES = [None, 0, 1, 2, 3]
 
 
@@ -41,13 +42,13 @@ def reference_requests(net, traffic, stream):
     return [Message(s, stream.below(net.size)) for s in range(net.size) if active[s]]
 
 
-def reference_counts(net, traffic, budgets, trials, seed, policy=DropPolicy.LOWEST_SOURCE_WINS):
+def reference_counts(net, traffic, budgets, trials, seed):
     """Per trial: (offered, {mode: survivors}) through resolve_single_pass."""
     rows = []
     for trial in range(trials):
         stream = substream(seed, trial)
         requests = reference_requests(net, traffic, stream)
-        survivors = resolve_single_pass(net, requests, policy, stream, budgets)
+        survivors = resolve_single_pass(net, requests, budgets)
         rows.append((len(requests), {m: len(v) for m, v in survivors.items()}))
     return rows
 
@@ -55,7 +56,7 @@ def reference_counts(net, traffic, budgets, trials, seed, policy=DropPolicy.LOWE
 def kernel_counts(net, traffic, budgets, trials, seed):
     perm = traffic.permutation
     perm_dests = None if perm is None else permutation_dests(net, perm)
-    _, dests, _ = sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
+    dests = sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
     survivors = resolve_batch(net, dests, budgets)
     return [
         (int(np.count_nonzero(dests[t] >= 0)), {m: int(alive[t].sum()) for m, alive in survivors.items()})
@@ -74,25 +75,9 @@ def assert_report_matches(report, rows, modes):
         assert stat.passability == ((arr.sum() / offered) if offered else 0.0)
 
 
-@st.composite
-def networks(draw, sizes=(4, 8, 16, 32)):
-    return build_network(draw(st.sampled_from(sizes)), draw(st.sampled_from(["omega", "baseline"])))
-
-
 loads = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.99), st.just(1.0))
 chains = st.lists(st.sampled_from(MODES), min_size=1, max_size=5)
 seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
-
-
-@st.composite
-def fixed_maps(draw, net):
-    """A full or partial map, its pairs listed in a shuffled order."""
-    dests = draw(st.permutations(range(net.size)))
-    keep = draw(st.lists(st.booleans(), min_size=net.size, max_size=net.size))
-    if draw(st.booleans()):
-        keep = [True] * net.size
-    pairs = [Message(s, d) for s, d, k in zip(range(net.size), dests, keep) if k]
-    return make_permutation(draw(st.permutations(pairs)), net.size)
 
 
 @st.composite
@@ -123,17 +108,6 @@ def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials,
     rows = reference_counts(net, traffic, budgets, trials, seed)
     with mock.patch.object(mc_kernel, "CHUNK_CELLS", per_chunk * net.size):
         report = monte_carlo(net, traffic, modes, trials, seed)
-    assert_report_matches(report, rows, modes)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data(), networks(sizes=(4, 8, 16)), chains, st.integers(min_value=1, max_value=10), seeds)
-def test_random_uniform_resumes_each_trial_stream(data, net, modes, trials, seed):
-    traffic = data.draw(traffics(net))
-    budgets = [m for m in dict.fromkeys(modes) if m is not None]
-    rows = reference_counts(net, traffic, budgets, trials, seed, DropPolicy.RANDOM_UNIFORM)
-    with mock.patch.object(mc_kernel, "CHUNK_CELLS", 3 * net.size):
-        report = monte_carlo(net, traffic, modes, trials, seed, DropPolicy.RANDOM_UNIFORM)
     assert_report_matches(report, rows, modes)
 
 
