@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,16 +23,21 @@ class ConflictKind(Enum):
     LINK_CONFLICT = "link"
 
 
-@dataclass(frozen=True)
-class ConflictEdge:
+class ConflictEdge(NamedTuple):
+    """Messages a < b share a switch at each of `stages` (1-based, cut after
+    the first link conflict); `has_link_conflict` says whether the last of
+    them is one."""
+
     a: int
     b: int
     stages: tuple[int, ...]
-    kinds: tuple[ConflictKind, ...]
+    has_link_conflict: bool
 
     @property
-    def has_link_conflict(self) -> bool:
-        return ConflictKind.LINK_CONFLICT in self.kinds
+    def kinds(self) -> tuple[ConflictKind, ...]:
+        """One label per stage: crosstalk, except a link conflict at the last."""
+        last = ConflictKind.LINK_CONFLICT if self.has_link_conflict else ConflictKind.SWITCH_CROSSTALK
+        return (ConflictKind.SWITCH_CROSSTALK,) * (len(self.stages) - 1) + (last,)
 
 
 @dataclass
@@ -79,15 +85,15 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     return found
 
 
-def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[tuple[int, int, tuple[int, ...], bool]]:
-    """Every pair of rows of a path table that meets at a switch, as
-    (a, b, stages, link) with a < b, in lexicographic (a, b) order.
+def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[ConflictEdge]:
+    """Every pair of rows of a path table that meets at a switch, as a
+    ConflictEdge (a, b, stages, has_link_conflict) with a < b, in
+    lexicographic (a, b) order.
 
-    `stages` lists the 1-based stages where the pair shares a switch, cut
-    after its first link conflict (both on one out-line); `link` says whether
-    the last of them is one.  Each stage column is sorted by switch, and
-    rows d apart in that order are paired for d = 1, 2, ... while any of
-    them still share a switch, so a bucket of any size yields all its pairs.
+    A link conflict puts both rows on one out-line.  Each stage column is
+    sorted by switch, and rows d apart in that order are paired for
+    d = 1, 2, ... while any of them still share a switch, so a bucket of any
+    size yields all its pairs.
     """
     if len(switches) < 2:
         return []
@@ -116,7 +122,7 @@ def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[tuple[int,
     ends = np.r_[starts[1:], a.size]
     stages = (k + 1).tolist()
     return [
-        (a_i, b_i, tuple(stages[start:end]), link_i)
+        ConflictEdge(a_i, b_i, tuple(stages[start:end]), link_i)
         for a_i, b_i, start, end, link_i in zip(
             a[starts].tolist(), b[starts].tolist(), starts.tolist(), ends.tolist(), link[ends - 1].tolist()
         )
@@ -126,13 +132,8 @@ def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[tuple[int,
 def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGraph:
     """Edges in lexicographic (a, b) order, a < b message indices, from the
     pairs of the path table that share a switch (`shared_pairs`)."""
-    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
-    crosstalk, link_conflict = ConflictKind.SWITCH_CROSSTALK, ConflictKind.LINK_CONFLICT
-    edges = []
-    for a, b, stages, link in shared_pairs(switches, out_lines):
-        kinds = (crosstalk,) * (len(stages) - 1) + (link_conflict if link else crosstalk,)
-        edges.append(ConflictEdge(a=a, b=b, stages=stages, kinds=kinds))
-    return ConflictGraph(vertex_count=len(perm.pairs), edges=edges)
+    tables = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    return ConflictGraph(vertex_count=len(perm.pairs), edges=shared_pairs(*tables))
 
 
 def edges_csv(graph: ConflictGraph) -> str:

@@ -18,6 +18,8 @@ from .errors import CoverageError, IndexOutOfRangeError, TooLargeError
 from .routing import PermutationMap, path_table
 from .topology import NetworkSpec
 
+EXACT_CAP = 20  # most messages schedule_exact will search
+
 
 class Algorithm(Enum):
     GREEDY_ORDER = "greedy"
@@ -29,7 +31,6 @@ class Algorithm(Enum):
 class ScheduleConfig:
     budget: int | None = 0  # None means unlimited crosstalk
     algorithm: Algorithm = Algorithm.GREEDY_ORDER
-    exact_cap: int = 20
 
 
 @dataclass
@@ -150,8 +151,8 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     A map with no messages gets no passes.
     """
     count = len(perm.pairs)
-    if count > config.exact_cap:
-        raise TooLargeError(f"{count} messages exceed the exact-solver cap of {config.exact_cap}")
+    if count > EXACT_CAP:
+        raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
     graph = build_conflict_graph(net, perm)
     budget = config.budget
     stage_sets: list[dict[int, set[int]]] = []

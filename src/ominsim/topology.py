@@ -54,18 +54,6 @@ def build_network(size: int, topology: Topology | str) -> NetworkSpec:
     return NetworkSpec(size=size, stages=size.bit_length() - 1, topology=topology)
 
 
-def switch_of(line: int) -> int:
-    return line >> 1
-
-
-def port_of(line: int) -> int:
-    return line & 1
-
-
-def line_for(switch: int, port: int) -> int:
-    return (switch << 1) | port
-
-
 def interconnect(net: NetworkSpec, stage: int, line: int) -> int:
     """Map a line leaving stage-1 (or the inputs) onto the line entering `stage`.
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
+    ConflictEdge,
     ConflictKind,
     Message,
     SameSourceError,
@@ -126,6 +127,28 @@ def test_edges_csv(omega8, showcase):
     assert lines[0] == "indexA,indexB,stages,kinds"
     assert lines[1] == "0,2,2,crosstalk"
     assert len(lines) == 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
+    """The CSV equals one written from conflict_stages over every pair,
+    `link` labels included: partial maps that repeat a destination end in
+    link conflicts.  The graph stores the ConflictEdge records shared_pairs
+    made, and indexes each one itself."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    graph = build_conflict_graph(net, perm)
+    lines = ["indexA,indexB,stages,kinds"]
+    for a, b in combinations(range(len(perm.pairs)), 2):
+        shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
+        if shared:
+            stages = ";".join(str(s) for s, _ in shared)
+            kinds = ";".join(k.value for _, k in shared)
+            lines.append(f"{a},{b},{stages},{kinds}")
+    assert edges_csv(graph) == "\n".join(lines) + "\n"
+    assert all(isinstance(e, ConflictEdge) for e in graph.edges)
+    assert all(graph.neighbours[e.a][e.b] is e for e in graph.edges)
 
 
 def test_shared_pairs_of_fewer_than_two_rows():

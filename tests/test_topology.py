@@ -11,7 +11,7 @@ from ominsim import (
     interconnect,
     parse_topology,
 )
-from ominsim.topology import line_for, port_of, switch_of, wiring
+from ominsim.topology import wiring
 
 SIZES = [4, 8, 16, 32, 64]
 
@@ -72,11 +72,6 @@ def test_omega_rotation_has_order_n(size):
         for _ in range(net.stages):
             current = interconnect(net, 1, current)
         assert current == line
-
-
-@given(st.integers(min_value=0, max_value=1023))
-def test_switch_port_roundtrip(line):
-    assert line_for(switch_of(line), port_of(line)) == line
 
 
 @settings(max_examples=30)
