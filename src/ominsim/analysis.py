@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DuplicateSourceError, NotPowerOfTwoError, OutOfRangeError, ZeroTrialsError
 from .mc_kernel import chunk_trials, permutation_dests, resolve_batch, sample_requests
-from .routing import Message, PermutationMap, make_permutation, path_table
+from .routing import Message, PermutationMap, path_table
 from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
 from .streams import Stream, check_seed, substream
 from .topology import NetworkSpec
@@ -295,14 +295,17 @@ def monte_carlo(
 
 
 def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
-    """Uniform random full permutation via a stream-driven Fisher-Yates shuffle."""
+    """Uniform random full permutation via a stream-driven Fisher-Yates shuffle.
+
+    A shuffle of range(size) cannot repeat a source or a destination, so the
+    map is built without make_permutation's checks."""
     if size < 4 or size & (size - 1):
         raise NotPowerOfTwoError(f"permutation size must be a power of two >= 4, got {size}")
     dest = list(range(size))
     for i in range(size - 1, 0, -1):
         j = stream.below(i + 1)
         dest[i], dest[j] = dest[j], dest[i]
-    return make_permutation((Message(s, d) for s, d in enumerate(dest)), size)
+    return PermutationMap(tuple(Message(s, d) for s, d in enumerate(dest)), size, partial=False)
 
 
 def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: ScheduleConfig) -> SimReport:

@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .conflict import ConflictGraph, build_conflict_graph, shared_pairs
+import numpy as np
+
+from .conflict import build_conflict_graph, shared_pairs
 from .errors import CoverageError, IndexOutOfRangeError, TooLargeError
 from .routing import PermutationMap, path_table
 from .topology import NetworkSpec
@@ -62,83 +65,118 @@ class ValidationReport:
         return not self.violations
 
 
-def _message_order(perm: PermutationMap, graph: ConflictGraph, config: ScheduleConfig) -> list[int]:
+def _message_order(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> list[int]:
     by_source = sorted(range(len(perm.pairs)), key=lambda i: perm.pairs[i].source)
     if config.algorithm is not Algorithm.WELSH_POWELL:
         return by_source
+    graph = build_conflict_graph(net, perm)
     return sorted(by_source, key=lambda i: -graph.degree(i))
 
 
-def _admission(
-    candidate: int,
-    stage_set: dict[int, set[int]],
-    graph: ConflictGraph,
-    budget: int | None,
-) -> dict[int, tuple[int, ...]] | None:
-    """Stages the candidate would share with each of its neighbours in the
-    pass (stage_set: member -> its shared stages), or None if adding it
-    breaks the pass.  Re-checks those neighbours: one more message can push
-    an existing one over budget."""
-    added: dict[int, tuple[int, ...]] = {}
-    for m, edge in graph.neighbours[candidate].items():
-        if m not in stage_set:
-            continue
-        if edge.has_link_conflict:
+class _Pass(NamedTuple):
+    """One pass under construction: the member that first took each (stage,
+    switch) cell it occupies, keyed k·N/2 + switch for stage k + 1, and each
+    member's shared-stage count."""
+
+    owner: dict[int, int]
+    shared: dict[int, int]
+
+
+class _Occupancy:
+    """Passes under construction, and the admission rule both schedulers use.
+
+    A pass is legal exactly when no two members share an out-line and no
+    member shares more than `budget` stages.  In a legal pass a switch holds
+    at most two members: a third would enter on a line a member already
+    uses, which is a link conflict one stage earlier (or, at stage 1, the
+    same source).  So each cell a candidate would share has one owner to
+    check.  Two messages that leave a switch on different lines never meet
+    again (each output has one path from each input), so a candidate shares
+    at most one cell with each owner, and each shared cell adds one stage to
+    the owner's count and one to the candidate's.
+    """
+
+    def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
+        switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+        self.cells = (switches + net.size // 2 * np.arange(net.stages)).tolist()
+        self.out_lines = out_lines.tolist()
+        # no message has more than net.stages stages to share
+        self.budget = net.stages if budget is None else budget
+        self.passes: list[_Pass] = []
+
+    def shared_cells(self, p: _Pass, m: int) -> dict[int, int] | None:
+        """The cells m would share in pass p, each with its owner, or None if
+        m cannot join p."""
+        cells = self.cells[m]
+        owners = p.owner
+        if owners.keys().isdisjoint(cells):
+            return {}
+        budget = self.budget
+        if budget == 0:  # any shared cell is one too many
             return None
-        added[m] = edge.stages
-    if budget is not None:
-        mine: set[int] = set()
-        for stages in added.values():
-            mine.update(stages)
-        if len(mine) > budget:
-            return None
-        for m, stages in added.items():
-            if len(stage_set[m] | set(stages)) > budget:
+        lines = self.out_lines[m]
+        found = {}
+        for stage, cell in enumerate(cells):
+            owner = owners.get(cell)
+            if owner is None:
+                continue
+            if self.out_lines[owner][stage] == lines[stage]:
                 return None
-    return added
+            # one more shared stage for both m and the owner
+            if len(found) >= budget or p.shared[owner] >= budget:
+                return None
+            found[cell] = owner
+        return found
 
+    def join(self, p: _Pass, m: int, shared: dict[int, int]) -> None:
+        p.owner.update(dict.fromkeys(self.cells[m], m))
+        p.owner.update(shared)
+        for o in shared.values():
+            p.shared[o] += 1
+        p.shared[m] = len(shared)
 
-def _join(stage_set: dict[int, set[int]], candidate: int, added: dict[int, tuple[int, ...]]) -> dict[int, set[int]]:
-    """Put an admitted candidate into the pass.  Returns, per neighbour, the
-    stages of `added` it already shared, which must survive an undo."""
-    stage_set[candidate] = set()
-    kept = {}
-    for other, stages in added.items():
-        kept[other] = stage_set[other] & set(stages)
-        stage_set[other].update(stages)
-        stage_set[candidate].update(stages)
-    return kept
+    def leave(self, p: _Pass, m: int, shared: dict[int, int]) -> None:
+        """Undo join(p, m, shared)."""
+        for cell in self.cells[m]:
+            if cell not in shared:
+                del p.owner[cell]
+        for o in shared.values():
+            p.shared[o] -= 1
+        del p.shared[m]
 
+    def open(self, m: int) -> None:
+        p = _Pass({}, {})
+        self.join(p, m, {})
+        self.passes.append(p)
 
-def _schedule(stage_sets: list[dict[int, set[int]]], config: ScheduleConfig) -> Schedule:
-    return Schedule(
-        passes=[sorted(s) for s in stage_sets],
-        config=config,
-        shared_counts=[{m: len(s[m]) for m in sorted(s)} for s in stage_sets],
-    )
+    def schedule(self, config: ScheduleConfig) -> Schedule:
+        return Schedule(
+            passes=[sorted(p.shared) for p in self.passes],
+            config=config,
+            shared_counts=[dict(sorted(p.shared.items())) for p in self.passes],
+        )
 
 
 def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
     """First-fit pass assignment in the configured message order.
 
     Welsh-Powell is the same first-fit rule over a degree-descending order
-    (ties broken by ascending source).  A singleton pass is always feasible,
-    so this never fails.
+    (ties broken by ascending source); it is the only scheduler that builds
+    the conflict graph, for the degrees.  A singleton pass is always
+    feasible, so this never fails.
     """
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
-    graph = build_conflict_graph(net, perm)
-    stage_sets: list[dict[int, set[int]]] = []
-    for m in _message_order(perm, graph, config):
-        for stage_set in stage_sets:
-            added = _admission(m, stage_set, graph, config.budget)
-            if added is None:
-                continue
-            _join(stage_set, m, added)
-            break
+    state = _Occupancy(net, perm, config.budget)
+    for m in _message_order(net, perm, config):
+        for p in state.passes:
+            shared = state.shared_cells(p, m)
+            if shared is not None:
+                state.join(p, m, shared)
+                break
         else:
-            stage_sets.append({m: set()})
-    return _schedule(stage_sets, config)
+            state.open(m)
+    return state.schedule(config)
 
 
 def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
@@ -153,38 +191,35 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     count = len(perm.pairs)
     if count > EXACT_CAP:
         raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
-    graph = build_conflict_graph(net, perm)
-    budget = config.budget
-    stage_sets: list[dict[int, set[int]]] = []
+    state = _Occupancy(net, perm, config.budget)
+    passes = state.passes
 
     def assign(i: int, limit: int) -> bool:
         if i == count:
             return True
-        opened = len(stage_sets)
+        opened = len(passes)
         for c in range(min(opened + 1, limit)):
             if c == opened:
-                stage_sets.append({i: set()})
+                state.open(i)
                 if assign(i + 1, limit):
                     return True
-                stage_sets.pop()
+                passes.pop()
                 continue
-            stage_set = stage_sets[c]
-            added = _admission(i, stage_set, graph, budget)
-            if added is None:
+            p = passes[c]
+            shared = state.shared_cells(p, i)
+            if shared is None:
                 continue
-            kept = _join(stage_set, i, added)
+            state.join(p, i, shared)
             if assign(i + 1, limit):
                 return True
-            del stage_set[i]
-            for other, stages in added.items():
-                stage_set[other].difference_update(set(stages) - kept[other])
+            state.leave(p, i, shared)
         return False
 
     for limit in range(1, count + 1):
-        stage_sets.clear()
+        passes.clear()
         if assign(0, limit):
             break
-    return _schedule(stage_sets, config)
+    return state.schedule(config)
 
 
 def validate_schedule(

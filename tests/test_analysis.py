@@ -212,6 +212,14 @@ class TestRandomPermutationStudy:
         with pytest.raises(ZeroTrialsError):
             random_permutation_study(omega8, 0, 5, ScheduleConfig())
 
+    @pytest.mark.parametrize("size", [4, 8, 64, 256])
+    def test_generated_map_equals_checked_map(self, size):
+        """The shuffle's map skips make_permutation's checks; rebuilding it
+        through them must accept it and give an equal map."""
+        for seed in range(5):
+            perm = generate_random_permutation(size, substream(seed, size))
+            assert perm == make_permutation(perm.pairs, size)
+
 
 def test_mode_labels():
     assert mode_label(None) == "allow"

@@ -135,7 +135,9 @@ def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
     """The CSV equals one written from conflict_stages over every pair,
     `link` labels included: partial maps that repeat a destination end in
     link conflicts.  The graph stores the ConflictEdge records shared_pairs
-    made, and indexes each one itself."""
+    made, and indexes each one itself.  Every pair meets at one stage only:
+    paths that leave a switch on different lines never meet again, which
+    the schedulers' admission rule relies on."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
     graph = build_conflict_graph(net, perm)
@@ -149,6 +151,7 @@ def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
     assert edges_csv(graph) == "\n".join(lines) + "\n"
     assert all(isinstance(e, ConflictEdge) for e in graph.edges)
     assert all(graph.neighbours[e.a][e.b] is e for e in graph.edges)
+    assert all(len(e.stages) == 1 for e in graph.edges)
 
 
 def test_shared_pairs_of_fewer_than_two_rows():

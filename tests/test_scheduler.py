@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from ominsim import (
     Algorithm,
+    ConflictKind,
     CoverageError,
     IndexOutOfRangeError,
     Schedule,
@@ -16,6 +19,7 @@ from ominsim import (
     Violation,
     build_conflict_graph,
     build_network,
+    conflict_stages,
     full_permutation,
     make_permutation,
     schedule_exact,
@@ -24,6 +28,7 @@ from ominsim import (
     trace_path,
     validate_schedule,
 )
+from ominsim import scheduler
 
 from .conftest import draw_map
 
@@ -208,10 +213,11 @@ def test_schedule_json_field_order(omega8, showcase):
     assert json.loads(schedule_json(omega8, showcase, unlimited))["budget"] == "unlimited"
 
 
-def _all_pairs_validation(net, perm, passes, budget):
+def _all_pairs_validation(net, perm, passes, budget, paths=None):
     """The all-pairs check on traced paths that validate_schedule replaced:
-    (violations, semi_permutation_passes)."""
-    paths = [trace_path(net, msg) for msg in perm.pairs]
+    (violations, semi_permutation_passes).  `paths` are the map's traces,
+    when the caller already has them."""
+    paths = paths or [trace_path(net, msg) for msg in perm.pairs]
     violations = []
     semi = []
     for pi, members in enumerate(passes):
@@ -267,3 +273,115 @@ def test_empty_map_schedules_to_no_passes(omega8):
         schedule = scheduler(omega8, empty, config)
         assert schedule.passes == [] and schedule.shared_counts == []
         assert validate_schedule(omega8, empty, schedule).ok
+
+
+def _first_fit_reference(net, perm, config):
+    """First-fit over all pairs of traced paths (`conflict_stages`): each
+    message, by ascending source or, for Welsh-Powell, by descending degree
+    first, joins the first pass where it meets no member on a line and no
+    member's shared stages, its own included, exceed the budget.
+    Returns (passes, shared_counts)."""
+    count = len(perm.pairs)
+    met = {}
+    for a, b in combinations(range(count), 2):
+        found = conflict_stages(net, perm.pairs[a], perm.pairs[b])
+        if found:
+            met[a, b] = met[b, a] = found
+    order = sorted(range(count), key=lambda i: perm.pairs[i].source)
+    if config.algorithm is Algorithm.WELSH_POWELL:
+        degree = Counter(a for a, _ in met)
+        order.sort(key=lambda i: -degree[i])
+    passes = []  # per pass: member -> the stages it shares
+    for m in order:
+        for index, shared in enumerate(passes):
+            trial = {q: set(stages) for q, stages in shared.items()}
+            trial[m] = set()
+            link = False
+            for q in shared:
+                for stage, kind in met.get((m, q), ()):
+                    link |= kind is ConflictKind.LINK_CONFLICT
+                    trial[q].add(stage)
+                    trial[m].add(stage)
+            if not link and (config.budget is None or all(len(s) <= config.budget for s in trial.values())):
+                passes[index] = trial
+                break
+        else:
+            passes.append({m: set()})
+    return [sorted(p) for p in passes], [{m: len(p[m]) for m in sorted(p)} for p in passes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_greedy_equals_first_fit_reference(topology, size, data):
+    """Passes and shared-stage counts equal those of first-fit over all pairs
+    of traced paths, for both message orders, on full and partial maps."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    budget = data.draw(st.sampled_from([0, 1, 2, None]))
+    algorithm = data.draw(st.sampled_from([Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL]))
+    config = ScheduleConfig(budget=budget, algorithm=algorithm)
+    schedule = schedule_greedy(net, perm, config)
+    assert (schedule.passes, schedule.shared_counts) == _first_fit_reference(net, perm, config)
+
+
+def _canonical_assignments(count, limit):
+    """Every assignment of `count` messages to at most `limit` passes in
+    which pass c first appears after pass c - 1, in lexicographic order."""
+
+    def extend(prefix, opened):
+        if len(prefix) == count:
+            yield prefix
+            return
+        for c in range(min(opened + 1, limit)):
+            yield from extend(prefix + (c,), max(opened, c + 1))
+
+    return extend((), 0)
+
+
+def _smallest_valid_assignment(net, perm, budget):
+    """Passes of the lexicographically smallest canonical assignment, among
+    those with the fewest passes, that `_all_pairs_validation` accepts."""
+    paths = [trace_path(net, msg) for msg in perm.pairs]
+    count = len(perm.pairs)
+    for limit in range(1, count + 1):
+        for assign in _canonical_assignments(count, limit):
+            passes = [[m for m in range(count) if assign[m] == p] for p in range(max(assign) + 1)]
+            if not _all_pairs_validation(net, perm, passes, budget, paths)[0]:
+                return passes
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_exact_equals_smallest_valid_assignment(topology, size, data):
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    if len(perm) > 8:
+        perm = make_permutation(perm.pairs[:8], size)
+    budget = data.draw(st.sampled_from([0, 1, None]))
+    schedule = schedule_exact(net, perm, exact_cfg(budget))
+    assert schedule.passes == _smallest_valid_assignment(net, perm, budget)
+
+
+@pytest.mark.parametrize("topology", list(Topology))
+def test_exact_equals_smallest_valid_assignment_on_full_8_maps(topology):
+    """Full 8-input maps make the search undo admissions into passes that
+    share switches, which sparse maps seldom do."""
+    net = build_network(8, topology)
+    rng = random.Random(8)
+    for _ in range(40):
+        perm = full_permutation(net, rng.sample(range(8), 8))
+        for budget in (0, 1, None):
+            assert schedule_exact(net, perm, exact_cfg(budget)).passes == _smallest_valid_assignment(net, perm, budget)
+
+
+def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_conflict_graph called")
+
+    monkeypatch.setattr(scheduler, "build_conflict_graph", refuse)
+    for budget in (0, 1, None):
+        assert validate_schedule(omega8, showcase, schedule_greedy(omega8, showcase, ScheduleConfig(budget=budget))).ok
+        assert validate_schedule(omega8, showcase, schedule_exact(omega8, showcase, exact_cfg(budget))).ok
+    with pytest.raises(AssertionError, match="build_conflict_graph"):
+        schedule_greedy(omega8, showcase, ScheduleConfig(budget=0, algorithm=Algorithm.WELSH_POWELL))
