@@ -12,9 +12,18 @@ resolves its one map as a single trial:
   comparison, and of two keys bound for the same out-line the smaller one,
   the lower source, wins.
 * Allow survivors never share a line, so during a budget sweep a switch
-  holds at most two of them.  A message's shared count is the number of its
-  recorded shares whose partner is still alive: a drop decrements the counts
-  of the victim's recorded partners, and nothing else needs undoing.
+  holds at most two of them.  resolve_batch finds the switches where two
+  allow survivors meet once per chunk, for all stages in one gather, and
+  every budget sweep reads that list, keeping the pairs whose two messages
+  it still has alive.
+* A message's shared count is the number of its recorded shares whose
+  partner is still alive: a drop decrements the counts of the victim's
+  recorded partners, and nothing else needs undoing.
+* Until a share has stood in a sweep, every count is 0 and no partner is
+  recorded, so a drop cannot change any other decision and each one is
+  final when first made: at budget 0 the higher source drops, at budget
+  >= 1 the share stands.  Those stages, the whole sweep at budget 0, keep
+  no counts or partners and need no fixed point.
 * The reference visits the switches of a stage in ascending order, and a
   drop at a lower switch can lower a count at a higher switch of the same
   stage.  Each stage therefore recomputes its victims until they stop
@@ -118,46 +127,58 @@ def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.nd
     return alive, entering
 
 
-def _budget_sweep(net: NetworkSpec, entering: np.ndarray, start: np.ndarray, budget: int) -> np.ndarray:
+def _budget_sweep(
+    net: NetworkSpec, pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]], start: np.ndarray, budget: int
+) -> np.ndarray:
     """Enforce a shared-stage budget on `start`, a subset of the allow survivors.
 
-    Messages are flat slots trial * (N + 1) + source; `entering` holds slots.
-    At a contested switch the share stands while both counts stay within
-    budget; otherwise the message with the larger count drops, the higher
-    source on a tie.
+    Messages are flat slots trial * (N + 1) + source.  pairs[k] holds the
+    contested switches of stage k, found once by resolve_batch, as (upper
+    slot, lower slot, switch within the trial); the sweep keeps those whose
+    two messages it still has alive.  At a contested switch the share stands
+    while both counts stay within budget; otherwise the message with the
+    larger count drops, the higher source on a tie.  Until a share has
+    stood, every count is 0 and no partner is recorded, so each decision is
+    final when first made and those stages skip the fixed point.
     """
     n, half = net.stages, net.size // 2
     alive = start.copy()
-    count = np.zeros(alive.size, dtype=np.intp)
-    # Slot N is trial 0's empty line: never alive, so a safe "no partner".
-    partner = np.full((n, alive.size), net.size, dtype=np.intp)
-    dropped_at = np.full(alive.size, half, dtype=np.intp)
-    for k in range(n):
-        upper, lower = entering[k, :, 0::2], entering[k, :, 1::2]
-        contested = alive[upper] & alive[lower]
-        switch = np.nonzero(contested)[1]
-        a, b = upper[contested], lower[contested]
-        count_a, count_b = count[a], count[b]
-        partners_a, partners_b = partner[:k, a], partner[:k, b]
-        victims = np.full(a.size, -1, dtype=np.intp)
-        # A drop at a lower switch of this stage lowers counts at higher
-        # ones: recompute the victims until they stop changing.
-        while True:
-            ca = count_a - (dropped_at[partners_a] < switch).sum(axis=0)
-            cb = count_b - (dropped_at[partners_b] < switch).sum(axis=0)
-            over = np.maximum(ca, cb) >= budget
-            drop_a = (ca > cb) | ((ca == cb) & (a > b))
-            update = np.where(over, np.where(drop_a, a, b), -1)
-            if np.array_equal(update, victims):
-                break
-            dropped_at[victims[victims >= 0]] = half
-            victims = update
-            dropped_at[victims[over]] = switch[over]
-        dropped = victims[over]
-        dropped_at[dropped] = half
-        alive[dropped] = False
-        np.subtract.at(count, partner[:k, dropped].ravel(), 1)
-        a, b = a[~over], b[~over]
+    partner = None
+    for k, (a, b, switch) in enumerate(pairs):
+        live = alive[a] & alive[b]
+        a, b, switch = a[live], b[live], switch[live]
+        if partner is None:
+            if budget == 0:
+                alive[np.maximum(a, b)] = False
+                continue
+            if not a.size:
+                continue
+            count = np.zeros(alive.size, dtype=np.intp)
+            # Slot N is trial 0's empty line: never alive, so a safe "no partner".
+            partner = np.full((n, alive.size), net.size, dtype=np.intp)
+            dropped_at = np.full(alive.size, half, dtype=np.intp)
+        else:
+            count_a, count_b = count[a], count[b]
+            partners_a, partners_b = partner[:k, a], partner[:k, b]
+            victims = np.full(a.size, -1, dtype=np.intp)
+            # A drop at a lower switch of this stage lowers counts at higher
+            # ones: recompute the victims until they stop changing.
+            while True:
+                ca = count_a - (dropped_at[partners_a] < switch).sum(axis=0)
+                cb = count_b - (dropped_at[partners_b] < switch).sum(axis=0)
+                over = np.maximum(ca, cb) >= budget
+                drop_a = (ca > cb) | ((ca == cb) & (a > b))
+                update = np.where(over, np.where(drop_a, a, b), -1)
+                if np.array_equal(update, victims):
+                    break
+                dropped_at[victims[victims >= 0]] = half
+                victims = update
+                dropped_at[victims[over]] = switch[over]
+            dropped = victims[over]
+            dropped_at[dropped] = half
+            alive[dropped] = False
+            np.subtract.at(count, partner[:k, dropped].ravel(), 1)
+            a, b = a[~over], b[~over]
         partner[k, a], partner[k, b] = b, a
         count[a] += 1
         count[b] += 1
@@ -178,7 +199,19 @@ def resolve_batch(net: NetworkSpec, dests: np.ndarray, budgets: Sequence[int] = 
     entering += (np.arange(trials) * (size + 1))[:, None]
     result = {None: alive[:, :size]}
     flat = alive.reshape(-1)
-    for budget in sorted(set(budgets), reverse=True):
-        flat = _budget_sweep(net, entering, flat, budget)
+    chain = sorted(set(budgets), reverse=True)
+    if chain:
+        # Every budget sweep works on a subset of the allow survivors, so all
+        # of them read the switches where two allow survivors meet.
+        # Row r of `switches` is switch r % (N/2) of stage r // (trials * N/2).
+        switches = entering.reshape(-1, 2)
+        both = flat[switches]
+        contested = np.flatnonzero(both[:, 0] & both[:, 1])
+        a, b = switches[contested].T
+        bounds = np.searchsorted(contested, np.arange(net.stages + 1) * (trials * size // 2))
+        switch = contested % (size // 2)
+        pairs = [(a[i:j], b[i:j], switch[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+    for budget in chain:
+        flat = _budget_sweep(net, pairs, flat, budget)
         result[budget] = flat.reshape(trials, size + 1)[:, :size]
     return result

@@ -111,10 +111,33 @@ def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials,
     assert_report_matches(report, rows, modes)
 
 
-def test_workload_shaped_batch():
-    net = build_network(256, "omega")
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+@pytest.mark.parametrize("budgets", [[1, 0], [0], [2, 1, 0], [3]], ids=str)
+def test_workload_shaped_batch(topology, budgets):
+    """n = 8 stages: a free sweep straight from the allow survivors, budgets
+    whose first stages need no fixed point, and chains that read one pair
+    list."""
+    net = build_network(256, topology)
     traffic = TrafficModel(load=1.0)
-    assert kernel_counts(net, traffic, [1, 0], 20, 0x5EED) == reference_counts(net, traffic, [1, 0], 20, 0x5EED)
+    assert kernel_counts(net, traffic, budgets, 20, 0x5EED) == reference_counts(net, traffic, budgets, 20, 0x5EED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), networks(), st.integers(min_value=0, max_value=3), seeds)
+def test_budget_of_at_least_stages_keeps_allow_survivors(data, net, extra, seed):
+    """A message meets at most one switch per stage, so it shares at most
+    n stages and a budget >= n never binds."""
+    traffic = data.draw(traffics(net))
+    budget = net.stages + extra
+    perm = traffic.permutation
+    perm_dests = None if perm is None else permutation_dests(net, perm)
+    dests = sample_requests(net, traffic.load, perm_dests, seed, 0, 4)
+    survivors = resolve_batch(net, dests, [budget])
+    assert np.array_equal(survivors[budget], survivors[None])
+    for trial in range(4):
+        requests = [Message(s, int(d)) for s, d in enumerate(dests[trial]) if d >= 0]
+        reference = resolve_single_pass(net, requests, [budget])
+        assert reference[budget] == reference[None]
 
 
 def test_lower_switch_drop_flips_higher_switch_decision():
