@@ -34,9 +34,7 @@ def main():
     graph = build_conflict_graph(net, perm)
     print(f"\nconflict graph: {len(graph.edges)} edges, max degree {graph.max_degree()}")
     for edge in graph.edges:
-        stages = ",".join(str(s) for s in edge.stages)
-        kinds = ",".join(k.value for k in edge.kinds)
-        print(f"  {edge.a} -- {edge.b}  stages {stages} ({kinds})")
+        print(f"  {edge.a} -- {edge.b}  stages {edge.stage} ({edge.kind.value})")
 
     for budget in (0, 1, None):
         conf_exact = ScheduleConfig(budget=budget, algorithm=Algorithm.EXACT)

@@ -13,14 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import (
-    Mode,
-    TrafficModel,
-    generate_random_permutation,  # noqa: F401 - re-exported for callers of the CLI module
-    monte_carlo,
-    random_permutation_study,
-)
-from .analysis import analytic_bandwidth
+from .analysis import Mode, TrafficModel, analytic_bandwidth, monte_carlo, random_permutation_study
 from .conflict import build_conflict_graph, edges_csv
 from .errors import ParseError, SimulatorError
 from .routing import parse_permutation, trace_path

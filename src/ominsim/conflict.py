@@ -24,45 +24,40 @@ class ConflictKind(Enum):
 
 
 class ConflictEdge(NamedTuple):
-    """Messages a < b share a switch at each of `stages` (1-based, cut after
-    the first link conflict); `has_link_conflict` says whether the last of
-    them is one."""
+    """Messages a < b share a switch at `stage` (1-based), the one stage at
+    which their paths meet; `has_link_conflict` says whether they also share
+    the out-line there."""
 
     a: int
     b: int
-    stages: tuple[int, ...]
+    stage: int
     has_link_conflict: bool
 
     @property
-    def kinds(self) -> tuple[ConflictKind, ...]:
-        """One label per stage: crosstalk, except a link conflict at the last."""
-        last = ConflictKind.LINK_CONFLICT if self.has_link_conflict else ConflictKind.SWITCH_CROSSTALK
-        return (ConflictKind.SWITCH_CROSSTALK,) * (len(self.stages) - 1) + (last,)
+    def kind(self) -> ConflictKind:
+        return ConflictKind.LINK_CONFLICT if self.has_link_conflict else ConflictKind.SWITCH_CROSSTALK
 
 
 @dataclass
 class ConflictGraph:
-    """Messages as vertices; neighbours[v] maps each neighbour of v to the
-    edge joining them."""
+    """Messages as vertices and one ConflictEdge per pair that meets, with
+    the degree of each vertex counted once over the edges."""
 
     vertex_count: int
     edges: list[ConflictEdge]
-    neighbours: list[dict[int, ConflictEdge]] = field(init=False, repr=False)
+    _degrees: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.neighbours = [{} for _ in range(self.vertex_count)]
-        for e in self.edges:
-            self.neighbours[e.a][e.b] = e
-            self.neighbours[e.b][e.a] = e
-
-    def edge(self, a: int, b: int) -> ConflictEdge | None:
-        return self.neighbours[a].get(b)
+        self._degrees = [0] * self.vertex_count
+        for a, b, _, _ in self.edges:
+            self._degrees[a] += 1
+            self._degrees[b] += 1
 
     def degree(self, v: int) -> int:
-        return len(self.neighbours[v])
+        return self._degrees[v]
 
     def max_degree(self) -> int:
-        return max(map(len, self.neighbours), default=0)
+        return max(self._degrees, default=0)
 
 
 def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int, ConflictKind]]:
@@ -87,13 +82,15 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
 
 def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[ConflictEdge]:
     """Every pair of rows of a path table that meets at a switch, as a
-    ConflictEdge (a, b, stages, has_link_conflict) with a < b, in
+    ConflictEdge (a, b, stage, has_link_conflict) with a < b, in
     lexicographic (a, b) order.
 
-    A link conflict puts both rows on one out-line.  Each stage column is
-    sorted by switch, and rows d apart in that order are paired for
-    d = 1, 2, ... while any of them still share a switch, so a bucket of any
-    size yields all its pairs.
+    Each output has one path from each input, so two paths that leave a
+    switch on different out-lines never meet again, and two that leave it
+    on one out-line (a link conflict) have collided there: each pair meets
+    at its first shared stage only.  Each stage column is sorted by switch,
+    and rows d apart in that order are paired for d = 1, 2, ... while any of
+    them still share a switch, so a bucket of any size yields all its pairs.
     """
     if len(switches) < 2:
         return []
@@ -109,24 +106,16 @@ def shared_pairs(switches: np.ndarray, out_lines: np.ndarray) -> list[ConflictEd
         columns.append(cols)
     if not firsts:
         return []
-    a, b, k = np.concatenate(firsts), np.concatenate(seconds), np.concatenate(columns)
-    by_pair = np.lexsort((k, b, a))
-    a, b, k = a[by_pair], b[by_pair], k[by_pair]
+    count, stages = switches.shape
+    # one key per meeting, ordered by pair and then by stage
+    pairs = np.concatenate(firsts) * count + np.concatenate(seconds)
+    key = np.sort(pairs * stages + np.concatenate(columns))
+    pair, k = np.divmod(key, stages)
+    first = np.r_[True, pair[1:] != pair[:-1]]
+    a, b = np.divmod(pair[first], count)
+    k = k[first]
     link = out_lines[a, k] == out_lines[b, k]
-    first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-    # keep a stage only if no link conflict comes before it in its pair
-    links_before = np.cumsum(link) - link
-    keep = links_before == np.maximum.accumulate(np.where(first, links_before, 0))
-    a, b, k, link, first = a[keep], b[keep], k[keep], link[keep], first[keep]
-    starts = np.flatnonzero(first)
-    ends = np.r_[starts[1:], a.size]
-    stages = (k + 1).tolist()
-    return [
-        ConflictEdge(a_i, b_i, tuple(stages[start:end]), link_i)
-        for a_i, b_i, start, end, link_i in zip(
-            a[starts].tolist(), b[starts].tolist(), starts.tolist(), ends.tolist(), link[ends - 1].tolist()
-        )
-    ]
+    return list(map(ConflictEdge, a.tolist(), b.tolist(), (k + 1).tolist(), link.tolist()))
 
 
 def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGraph:
@@ -137,10 +126,9 @@ def build_conflict_graph(net: NetworkSpec, perm: PermutationMap) -> ConflictGrap
 
 
 def edges_csv(graph: ConflictGraph) -> str:
-    """Edge list as CSV: indexA,indexB,stages,kinds with ';'-joined fields."""
+    """Edge list as CSV: indexA,indexB,stages,kinds, one stage and its kind
+    per edge."""
     lines = ["indexA,indexB,stages,kinds"]
     for e in graph.edges:
-        stages = ";".join(str(s) for s in e.stages)
-        kinds = ";".join(k.value for k in e.kinds)
-        lines.append(f"{e.a},{e.b},{stages},{kinds}")
+        lines.append(f"{e.a},{e.b},{e.stage},{e.kind.value}")
     return "\n".join(lines) + "\n"

@@ -257,12 +257,12 @@ def validate_schedule(
         rows = sorted(members)
         pairs = shared_pairs(switches[rows], out_lines[rows])
         shared: dict[int, set[int]] = {m: set() for m in rows}
-        for a, b, stages, link in pairs:
+        for a, b, stage, link in pairs:
             a, b = rows[a], rows[b]
-            shared[a].update(stages)
-            shared[b].update(stages)
+            shared[a].add(stage)
+            shared[b].add(stage)
             if link:
-                violations.append(Violation("link", pi, (a, b), stages[-1:]))
+                violations.append(Violation("link", pi, (a, b), (stage,)))
         if config.budget is not None:
             for m in rows:
                 if len(shared[m]) > config.budget:

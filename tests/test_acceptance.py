@@ -29,7 +29,8 @@ from ominsim import (
     trace_path,
     validate_schedule,
 )
-from ominsim.cli import generate_random_permutation, run
+from ominsim.analysis import generate_random_permutation
+from ominsim.cli import run
 
 from .conftest import SHOWCASE_DESTS
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from ominsim import NotPowerOfTwoError, parse_permutation, build_network
-from ominsim.cli import build_parser, generate_random_permutation, run
+from ominsim.analysis import generate_random_permutation
+from ominsim.cli import build_parser, run
 from ominsim.streams import substream
 
 from .conftest import SHOWCASE_DESTS

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from ominsim import (
     trace_path,
 )
 
-from .conftest import SHOWCASE_DESTS
+from .conftest import SHOWCASE_DESTS, draw_map
 
 
 def test_trace_example_0_to_7(omega8):
@@ -113,6 +114,22 @@ def test_path_table_equals_trace(topology, size, data):
         hops = trace_path(net, Message(s, d)).hops
         assert switches[row].tolist() == [h.switch for h in hops]
         assert out_lines[row].tolist() == [h.out_line for h in hops]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
+def test_paths_that_part_at_a_switch_never_meet_again(topology, size, data):
+    """Two rows of path_table on one switch at stage j but on different
+    out-lines share no switch after j: each output has one path from each
+    input.  The pair finder, the schedulers' admission rule and the Monte
+    Carlo sweeps count each pair once because of this."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    same_switch = switches[:, None, :] == switches[None, :, :]
+    parted = same_switch & (out_lines[:, None, :] != out_lines[None, :, :])
+    parted_before = np.cumsum(parted, axis=2) - parted > 0
+    assert not (same_switch & parted_before).any()
 
 
 def test_window_rejects_baseline_and_bad_stage():
