@@ -5,16 +5,19 @@ maturation per mode.
 """
 import argparse
 
+import numpy as np
+
 from ominsim import (
     Algorithm,
     ScheduleConfig,
-    build_conflict_graph,
     build_network,
     full_permutation,
     mode_label,
     passability,
+    path_table,
     schedule_exact,
     schedule_greedy,
+    shared_pairs,
     validate_schedule,
 )
 
@@ -31,10 +34,11 @@ def main():
     print(f"network: N={net.size}, {net.stages} stages of {net.switches_per_stage} switches")
     print("permutation:", " ".join(f"{m.source}->{m.destination}" for m in perm.pairs))
 
-    graph = build_conflict_graph(net, perm)
-    print(f"\nconflict graph: {len(graph.edges)} edges, max degree {graph.max_degree()}")
-    for edge in graph.edges:
-        print(f"  {edge.a} -- {edge.b}  stages {edge.stage} ({edge.kind.value})")
+    a, b, stage, link = shared_pairs(*path_table(net, [m.source for m in perm.pairs], perm.destinations()))
+    degree = np.bincount(np.r_[a, b], minlength=len(perm.pairs))
+    print(f"\nconflict graph: {a.size} edges, max degree {degree.max()}")
+    for x, y, s, is_link in zip(a.tolist(), b.tolist(), stage.tolist(), link.tolist()):
+        print(f"  {x} -- {y}  stages {s} ({'link' if is_link else 'crosstalk'})")
 
     for budget in (0, 1, None):
         conf_exact = ScheduleConfig(budget=budget, algorithm=Algorithm.EXACT)

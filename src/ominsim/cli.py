@@ -14,9 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import Mode, TrafficModel, analytic_bandwidth, monte_carlo, random_permutation_study
-from .conflict import build_conflict_graph, edges_csv
+from .conflict import edges_csv, shared_pairs
 from .errors import ParseError, SimulatorError
-from .routing import parse_permutation, trace_path
+from .routing import parse_permutation, path_table, trace_path
 from .scheduler import (
     Algorithm,
     ScheduleConfig,
@@ -97,7 +97,8 @@ def _cmd_route(args) -> int:
 def _cmd_conflicts(args) -> int:
     net = build_network(args.size, parse_topology(args.topology))
     perm = parse_permutation(_read_text(args.perm), net)
-    _emit(edges_csv(build_conflict_graph(net, perm)), args.output)
+    table = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    _emit(edges_csv(*shared_pairs(*table)), args.output)
     return 0
 
 

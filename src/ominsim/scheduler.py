@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conflict import build_conflict_graph, shared_pairs
+from .conflict import shared_pairs
 from .errors import CoverageError, IndexOutOfRangeError, TooLargeError
 from .routing import PermutationMap, path_table
 from .topology import NetworkSpec
@@ -65,14 +65,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _message_order(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> list[int]:
-    by_source = sorted(range(len(perm.pairs)), key=lambda i: perm.pairs[i].source)
-    if config.algorithm is not Algorithm.WELSH_POWELL:
-        return by_source
-    graph = build_conflict_graph(net, perm)
-    return sorted(by_source, key=lambda i: -graph.degree(i))
-
-
 class _Pass(NamedTuple):
     """One pass under construction: the member that first took each (stage,
     switch) cell it occupies, keyed k·N/2 + switch for stage k + 1, and each
@@ -97,7 +89,8 @@ class _Occupancy:
     """
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
-        switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+        self.table = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+        switches, out_lines = self.table
         self.cells = (switches + net.size // 2 * np.arange(net.stages)).tolist()
         self.out_lines = out_lines.tolist()
         # no message has more than net.stages stages to share
@@ -158,17 +151,22 @@ class _Occupancy:
 
 
 def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
-    """First-fit pass assignment in the configured message order.
+    """First-fit pass assignment in ascending source order.
 
     Welsh-Powell is the same first-fit rule over a degree-descending order
-    (ties broken by ascending source); it is the only scheduler that builds
-    the conflict graph, for the degrees.  A singleton pass is always
-    feasible, so this never fails.
+    (ties broken by ascending source); it is the only scheduler that finds
+    the conflicting pairs (`shared_pairs`), for the degrees.  A singleton
+    pass is always feasible, so this never fails.
     """
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
     state = _Occupancy(net, perm, config.budget)
-    for m in _message_order(net, perm, config):
+    order = sorted(range(len(perm.pairs)), key=lambda i: perm.pairs[i].source)
+    if config.algorithm is Algorithm.WELSH_POWELL:
+        a, b, _, _ = shared_pairs(*state.table)
+        degree = np.bincount(np.r_[a, b], minlength=len(order)).tolist()
+        order.sort(key=lambda i: -degree[i])
+    for m in order:
         for p in state.passes:
             shared = state.shared_cells(p, m)
             if shared is not None:
@@ -231,7 +229,7 @@ def validate_schedule(
     """Check the schedule against conflicts recomputed pass by pass.
 
     Each pass's rows of the path table are paired by shared switch
-    (`shared_pairs`); nothing is read from the conflict graph the schedulers
+    (`shared_pairs`); nothing is read from the occupancy the schedulers
     used.  Coverage errors (an index missing, duplicated, or out of range)
     raise; semantic problems are returned as violations: link conflicts in
     (a, b) order, then budget overruns in member order, per pass.
@@ -254,20 +252,25 @@ def validate_schedule(
     violations: list[Violation] = []
     semi: list[bool] = []
     for pi, members in enumerate(schedule.passes):
-        rows = sorted(members)
-        pairs = shared_pairs(switches[rows], out_lines[rows])
-        shared: dict[int, set[int]] = {m: set() for m in rows}
-        for a, b, stage, link in pairs:
-            a, b = rows[a], rows[b]
-            shared[a].add(stage)
-            shared[b].add(stage)
-            if link:
-                violations.append(Violation("link", pi, (a, b), (stage,)))
+        rows = np.sort(np.asarray(members, dtype=np.intp))
+        a, b, stage, link = shared_pairs(switches[rows], out_lines[rows])
+        semi.append(not a.size)
+        if not a.size:
+            continue
+        a, b = rows[a], rows[b]
+        for x, y, s in zip(a[link].tolist(), b[link].tolist(), stage[link].tolist()):
+            violations.append(Violation("link", pi, (x, y), (s,)))
         if config.budget is not None:
-            for m in rows:
-                if len(shared[m]) > config.budget:
-                    violations.append(Violation("budget", pi, (m,), tuple(sorted(shared[m]))))
-        semi.append(not pairs)
+            # each member's distinct shared stages, in member then stage order;
+            # sorted by hand, as np.unique imports numpy.ma on its first call
+            width = net.stages + 1
+            keys = np.sort(np.concatenate([a, b]) * width + np.concatenate([stage, stage]))
+            member, at = np.divmod(keys[np.concatenate([[True], keys[1:] != keys[:-1]])], width)
+            counts = np.bincount(member)
+            over = np.flatnonzero(counts > config.budget)
+            starts = np.searchsorted(member, over)
+            for m, s, e in zip(over.tolist(), starts.tolist(), (starts + counts[over]).tolist()):
+                violations.append(Violation("budget", pi, (m,), tuple(at[s:e].tolist())))
     return ValidationReport(violations=violations, semi_permutation_passes=semi)
 
 

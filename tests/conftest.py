@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ominsim import Message, build_network, full_permutation, make_permutation
+from ominsim import Message, build_network, full_permutation, make_permutation, path_table, shared_pairs
 
 # 8-input full permutation used as the worked example throughout the suite:
 # sources 0..7 mapped to 7 0 5 2 3 6 1 4.
@@ -31,6 +32,23 @@ def draw_map(data, net):
     sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
     dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
     return make_permutation([Message(s, d) for s, d in zip(sources, dests)], size)
+
+
+def conflict_pairs(net, perm):
+    """The map's conflicting pairs as `shared_pairs` returns them: arrays
+    a, b, stage, link over its path table."""
+    return shared_pairs(*path_table(net, [m.source for m in perm.pairs], perm.destinations()))
+
+
+def degrees(pairs, count):
+    """Each message's number of conflicting partners, as Welsh-Powell counts it."""
+    a, b, _, _ = pairs
+    return np.bincount(np.r_[a, b], minlength=count)
+
+
+def as_rows(pairs):
+    """The four arrays as a list of (a, b, stage, link) tuples."""
+    return list(zip(*(x.tolist() for x in pairs)))
 
 
 @st.composite

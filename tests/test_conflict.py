@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
-    ConflictEdge,
     ConflictKind,
     Message,
     SameSourceError,
     Topology,
-    build_conflict_graph,
     build_network,
     conflict_stages,
     edges_csv,
@@ -23,7 +21,7 @@ from ominsim import (
     trace_path,
 )
 
-from .conftest import draw_map
+from .conftest import as_rows, conflict_pairs, degrees, draw_map
 
 
 def test_conflict_examples(omega8, omega4):
@@ -40,27 +38,28 @@ def test_same_source_rejected(omega8):
 
 
 def test_showcase_graph_shape(omega8, showcase):
-    graph = build_conflict_graph(omega8, showcase)
-    assert len(graph.edges) == 12
-    assert all(graph.degree(v) == 3 for v in range(8))
-    assert not any(e.has_link_conflict for e in graph.edges)
+    pairs = conflict_pairs(omega8, showcase)
+    a, _, stages, link = pairs
+    assert a.size == 12
+    assert (degrees(pairs, 8) == 3).all()
+    assert not link.any()
     # every switch at every stage carries exactly two of the eight messages
     for stage in range(1, 4):
         occupancy = Counter(trace_path(omega8, m).switches()[stage - 1] for m in showcase.pairs)
         assert sorted(occupancy.values()) == [2, 2, 2, 2]
-        assert sum(1 for e in graph.edges if e.stage == stage) == 4
+        assert (stages == stage).sum() == 4
 
 
 def test_identity_graph_is_four_cycle(omega4):
     perm = full_permutation(omega4, [0, 1, 2, 3])
-    graph = build_conflict_graph(omega4, perm)
-    assert {(e.a, e.b) for e in graph.edges} == {(0, 1), (0, 2), (1, 3), (2, 3)}
-    assert all(e.kind is ConflictKind.SWITCH_CROSSTALK for e in graph.edges)
+    a, b, _, link = conflict_pairs(omega4, perm)
+    assert set(zip(a.tolist(), b.tolist())) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+    assert not link.any()
 
 
 def test_single_message_graph(omega4):
     perm = make_permutation([Message(0, 0)], 4)
-    assert build_conflict_graph(omega4, perm).edges == []
+    assert as_rows(conflict_pairs(omega4, perm)) == []
 
 
 @settings(max_examples=100)
@@ -91,27 +90,29 @@ def test_last_stage_conflicts_never_link_in_full_permutations(dests):
 @given(st.permutations(tuple(range(8))))
 def test_full_permutations_have_no_isolated_vertices(dests):
     net = build_network(8, Topology.OMEGA)
-    graph = build_conflict_graph(net, full_permutation(net, dests))
-    assert all(graph.degree(v) >= 1 for v in range(8))
+    pairs = conflict_pairs(net, full_permutation(net, dests))
+    assert (degrees(pairs, 8) >= 1).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
 def test_graph_equals_all_pairs_oracle(topology, size, data):
-    """The switch-bucketed graph has exactly the edges that conflict_stages
-    finds over every pair, on full maps and on partial maps that may repeat
-    destinations; the traces of any pair meet at one stage at most."""
+    """The switch-bucketed pair finder reports exactly the pairs that
+    conflict_stages finds over every pair, on full maps and on partial maps
+    that may repeat destinations; the traces of any pair meet at one stage
+    at most."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
-    graph = build_conflict_graph(net, perm)
+    pairs = conflict_pairs(net, perm)
     expected = []
     for a, b in combinations(range(len(perm.pairs)), 2):
         shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
         assert len(shared) <= 1
-        expected.extend((a, b, stage, kind) for stage, kind in shared)
-    assert [(e.a, e.b, e.stage, e.kind) for e in graph.edges] == expected
+        expected.extend((a, b, stage, kind is ConflictKind.LINK_CONFLICT) for stage, kind in shared)
+    assert as_rows(pairs) == expected
+    found = degrees(pairs, len(perm.pairs))
     for v in range(len(perm.pairs)):
-        assert graph.degree(v) == sum(1 for e in graph.edges if v in (e.a, e.b))
+        assert found[v] == sum(1 for a, b, _, _ in expected if v in (a, b))
 
 
 def test_baseline_conflicts_use_trace():
@@ -121,7 +122,7 @@ def test_baseline_conflicts_use_trace():
 
 
 def test_edges_csv(omega8, showcase):
-    csv = edges_csv(build_conflict_graph(omega8, showcase))
+    csv = edges_csv(*conflict_pairs(omega8, showcase))
     lines = csv.strip().split("\n")
     assert lines[0] == "indexA,indexB,stages,kinds"
     assert lines[1] == "0,2,2,crosstalk"
@@ -133,11 +134,10 @@ def test_edges_csv(omega8, showcase):
 def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
     """The CSV equals one written from conflict_stages over every pair,
     `link` labels included: partial maps that repeat a destination end in
-    link conflicts.  The graph stores the ConflictEdge records shared_pairs
-    made."""
+    link conflicts.  The pair finder's arrays are one row per pair."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
-    graph = build_conflict_graph(net, perm)
+    pairs = conflict_pairs(net, perm)
     lines = ["indexA,indexB,stages,kinds"]
     for a, b in combinations(range(len(perm.pairs)), 2):
         shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
@@ -145,14 +145,14 @@ def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
             stages = ";".join(str(s) for s, _ in shared)
             kinds = ";".join(k.value for _, k in shared)
             lines.append(f"{a},{b},{stages},{kinds}")
-    assert edges_csv(graph) == "\n".join(lines) + "\n"
-    assert all(isinstance(e, ConflictEdge) for e in graph.edges)
+    assert edges_csv(*pairs) == "\n".join(lines) + "\n"
+    assert len({len(x) for x in pairs}) == 1
 
 
 def test_shared_pairs_of_fewer_than_two_rows():
     for rows in (0, 1):
         table = np.zeros((rows, 3), dtype=np.intp)
-        assert shared_pairs(table, table) == []
+        assert as_rows(shared_pairs(table, table)) == []
 
 
 def test_shared_pairs_pairs_every_member_of_a_crowded_switch():
@@ -160,7 +160,7 @@ def test_shared_pairs_pairs_every_member_of_a_crowded_switch():
     out-line 11 there."""
     switches = np.array([[5, 0], [5, 1], [2, 2], [5, 3]])
     out_lines = np.array([[10, 0], [11, 2], [4, 4], [11, 6]])
-    assert shared_pairs(switches, out_lines) == [
+    assert as_rows(shared_pairs(switches, out_lines)) == [
         (0, 1, 1, False),
         (0, 3, 1, False),
         (1, 3, 1, True),
@@ -171,9 +171,9 @@ def test_shared_pairs_of_one_destination_are_every_pair_once(omega8):
     """Five messages to destination 0 end on one out-line, so each pair of
     them meets at least at the last stage, and every pair ends in a link
     conflict."""
-    pairs = shared_pairs(*path_table(omega8, range(5), [0] * 5))
-    assert [(a, b) for a, b, _, _ in pairs] == list(combinations(range(5), 2))
-    assert all(link for _, _, _, link in pairs)
+    a, b, _, link = shared_pairs(*path_table(omega8, range(5), [0] * 5))
+    assert list(zip(a.tolist(), b.tolist())) == list(combinations(range(5), 2))
+    assert link.all()
 
 
 def test_a_link_conflict_is_one_edge_at_its_stage(omega8):
@@ -183,6 +183,6 @@ def test_a_link_conflict_is_one_edge_at_its_stage(omega8):
     switches, out_lines = path_table(omega8, [0, 4], [0, 1])
     assert (switches == 0).all()
     assert (out_lines[0] == out_lines[1]).tolist() == [True, True, False]
-    assert shared_pairs(switches, out_lines) == [(0, 1, 1, True)]
+    assert as_rows(shared_pairs(switches, out_lines)) == [(0, 1, 1, True)]
     perm = make_permutation([Message(0, 0), Message(4, 1)], 8)
-    assert edges_csv(build_conflict_graph(omega8, perm)).split("\n")[1] == "0,1,1,link"
+    assert edges_csv(*conflict_pairs(omega8, perm)).split("\n")[1] == "0,1,1,link"

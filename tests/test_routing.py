@@ -121,15 +121,19 @@ def test_path_table_equals_trace(topology, size, data):
 def test_paths_that_part_at_a_switch_never_meet_again(topology, size, data):
     """Two rows of path_table on one switch at stage j but on different
     out-lines share no switch after j: each output has one path from each
-    input.  The pair finder, the schedulers' admission rule and the Monte
-    Carlo sweeps count each pair once because of this."""
+    input.  Two rows on one out-line at stage j share the switch at stage
+    j + 1.  So a pair's shared stages are one run: the pair finder reports
+    the first, and the schedulers' admission rule and the Monte Carlo sweeps
+    count each pair once."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
     switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
     same_switch = switches[:, None, :] == switches[None, :, :]
-    parted = same_switch & (out_lines[:, None, :] != out_lines[None, :, :])
+    same_line = out_lines[:, None, :] == out_lines[None, :, :]
+    parted = same_switch & ~same_line
     parted_before = np.cumsum(parted, axis=2) - parted > 0
     assert not (same_switch & parted_before).any()
+    assert not (same_line[:, :, :-1] & ~same_switch[:, :, 1:]).any()
 
 
 def test_window_rejects_baseline_and_bad_stage():

@@ -17,7 +17,6 @@ from ominsim import (
     TooLargeError,
     Topology,
     Violation,
-    build_conflict_graph,
     build_network,
     conflict_stages,
     full_permutation,
@@ -30,7 +29,7 @@ from ominsim import (
 )
 from ominsim import scheduler
 
-from .conftest import draw_map
+from .conftest import conflict_pairs, degrees, draw_map
 
 
 def exact_cfg(budget):
@@ -122,10 +121,11 @@ def test_validator_coverage_errors(omega8, showcase):
         validate_schedule(omega8, showcase, Schedule([[0, 99]], cfg, []))
 
 
-def _brute_force_chromatic(graph, count):
+def _brute_force_chromatic(pairs, count):
     """Smallest m admitting a proper coloring, by trying every canonical
     assignment vector in lexicographic order."""
-    conflicting = {(e.a, e.b) for e in graph.edges}
+    a, b, _, _ = pairs
+    conflicting = set(zip(a.tolist(), b.tolist()))
     for m in range(1, count + 1):
         for assign in product(range(m), repeat=count):
             seen = 0
@@ -148,8 +148,7 @@ def test_exact_k0_equals_brute_force_chromatic_number(dests):
     net = build_network(8, Topology.OMEGA)
     perm = full_permutation(net, dests)
     schedule = schedule_exact(net, perm, exact_cfg(0))
-    graph = build_conflict_graph(net, perm)
-    assert schedule.pass_count == _brute_force_chromatic(graph, 8)
+    assert schedule.pass_count == _brute_force_chromatic(conflict_pairs(net, perm), 8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,8 +172,7 @@ def test_greedy_schedules_always_validate(size, data):
     assert validate_schedule(net, perm, schedule, config).ok
     if budget == 0:
         assert schedule.pass_count >= 2
-        graph = build_conflict_graph(net, perm)
-        assert schedule.pass_count <= graph.max_degree() + 1
+        assert schedule.pass_count <= degrees(conflict_pairs(net, perm), size).max() + 1
 
 
 def test_source_pair_decomposition_is_crosstalk_free(omega8, showcase):
@@ -376,12 +374,26 @@ def test_exact_equals_smallest_valid_assignment_on_full_8_maps(topology):
 
 
 def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("build_conflict_graph called")
+    """Greedy and exact admit by occupancy and never look for conflicting
+    pairs; Welsh-Powell looks for them once, for its degrees.  The validator
+    pairs every pass itself, so it runs with the spy removed."""
+    pair_finder = scheduler.shared_pairs
+    calls = []
 
-    monkeypatch.setattr(scheduler, "build_conflict_graph", refuse)
+    def spy(*args):
+        calls.append(args)
+        return pair_finder(*args)
+
+    monkeypatch.setattr(scheduler, "shared_pairs", spy)
+    schedules = []
     for budget in (0, 1, None):
-        assert validate_schedule(omega8, showcase, schedule_greedy(omega8, showcase, ScheduleConfig(budget=budget))).ok
-        assert validate_schedule(omega8, showcase, schedule_exact(omega8, showcase, exact_cfg(budget))).ok
-    with pytest.raises(AssertionError, match="build_conflict_graph"):
-        schedule_greedy(omega8, showcase, ScheduleConfig(budget=0, algorithm=Algorithm.WELSH_POWELL))
+        schedules.append(schedule_greedy(omega8, showcase, ScheduleConfig(budget=budget)))
+        schedules.append(schedule_exact(omega8, showcase, exact_cfg(budget)))
+        assert not calls
+        config = ScheduleConfig(budget=budget, algorithm=Algorithm.WELSH_POWELL)
+        schedules.append(schedule_greedy(omega8, showcase, config))
+        assert len(calls) == 1
+        calls.clear()
+    monkeypatch.undo()
+    for schedule in schedules:
+        assert validate_schedule(omega8, showcase, schedule).ok
