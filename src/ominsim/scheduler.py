@@ -66,81 +66,149 @@ class ValidationReport:
 
 
 class _Pass(NamedTuple):
-    """One pass under construction: the member that first took each (stage,
-    switch) cell it occupies, keyed k·N/2 + switch for stage k + 1, and each
-    member's shared-stage count."""
+    """One pass under construction: each member's shared-stage count and, at
+    budget ≥ 1 only, the member leaving each (stage, out-line), indexed
+    k·N + line for stage k + 1.  An entry is read only while the pass's bit
+    in `_Occupancy.used` is set for its line."""
 
-    owner: dict[int, int]
     shared: dict[int, int]
+    member: list[int] | None
 
 
 class _Occupancy:
-    """Passes under construction, and the admission rule both schedulers use.
+    """Passes under construction, and the admission rule all schedulers use.
 
     A pass is legal exactly when no two members share an out-line and no
-    member shares more than `budget` stages.  In a legal pass a switch holds
-    at most two members: a third would enter on a line a member already
-    uses, which is a link conflict one stage earlier (or, at stage 1, the
-    same source).  So each cell a candidate would share has one owner to
-    check.  Two messages that leave a switch on different lines never meet
-    again (each output has one path from each input), so a candidate shares
-    at most one cell with each owner, and each shared cell adds one stage to
-    the owner's count and one to the candidate's.
+    member shares more than `budget` stages.  Passes are bits of integer
+    masks.  At budget 0, where any shared switch is one too many, each
+    (stage, switch) cell has one in `taken`, whose bit i is set when a
+    member of pass i holds the cell.  At budget ≥ 1 each (stage, out-line)
+    has one in `used`, whose bit i is set when a member of pass i leaves
+    that stage on that line, and a cell's mask is the OR of its two
+    out-lines'.  OR-ing a message's masks gives the passes it would share a
+    switch in and those it would share a line in, which it cannot join.
+    The lowest pass it shares no switch in always takes it, so only the
+    unblocked passes below that one need a closer look.
+
+    In a pass a message shares no line in, each switch it would share holds
+    exactly one member, the one leaving on the other out-line: a second
+    member there would enter on a line the message or the first member
+    uses, a link conflict one stage earlier (or, at stage 1, the same
+    source).  Two messages that leave a switch on different lines never
+    meet again (each output has one path from each input), so each shared
+    switch is one stage for the message and one for a different member.
     """
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
+        self.net = net
         self.table = path_table(net, [m.source for m in perm.pairs], perm.destinations())
         switches, out_lines = self.table
-        self.cells = (switches + net.size // 2 * np.arange(net.stages)).tolist()
-        self.out_lines = out_lines.tolist()
+        stages = np.arange(net.stages)
         # no message has more than net.stages stages to share
         self.budget = net.stages if budget is None else budget
+        if self.budget:
+            self.lines = (out_lines + net.size * stages).tolist()
+            self.used = [0] * (net.size * net.stages)
+        else:
+            self.cells = (switches + net.size // 2 * stages).tolist()
+            self.taken = [0] * (net.size // 2 * net.stages)
         self.passes: list[_Pass] = []
 
-    def shared_cells(self, p: _Pass, m: int) -> dict[int, int] | None:
-        """The cells m would share in pass p, each with its owner, or None if
-        m cannot join p."""
-        cells = self.cells[m]
-        owners = p.owner
-        if owners.keys().isdisjoint(cells):
-            return {}
-        budget = self.budget
-        if budget == 0:  # any shared cell is one too many
-            return None
-        lines = self.out_lines[m]
-        found = {}
-        for stage, cell in enumerate(cells):
-            owner = owners.get(cell)
-            if owner is None:
+    def masks(self, m: int) -> tuple[int, int]:
+        """The passes m would share a switch in, and the passes it cannot
+        join because it would share a line in them (any switch, at budget 0)."""
+        if not self.budget:
+            taken = self.taken
+            occupied = 0
+            for cell in self.cells[m]:
+                occupied |= taken[cell]
+            return occupied, occupied
+        used = self.used
+        blocked = beside = 0
+        for line in self.lines[m]:
+            blocked |= used[line]
+            beside |= used[line ^ 1]
+        return blocked | beside, blocked
+
+    def partners(self, i: int, m: int) -> list[int] | None:
+        """The member m would meet at each switch it shares in pass i, or None
+        if m or one of them would go over the budget.  Asked only at budget
+        ≥ 1, of a pass m shares no line in."""
+        p = self.passes[i]
+        bit, used, budget = 1 << i, self.used, self.budget
+        found = []
+        for line in self.lines[m]:
+            if not used[line ^ 1] & bit:
                 continue
-            if self.out_lines[owner][stage] == lines[stage]:
+            # one more shared stage for both m and the member beside it
+            other = p.member[line ^ 1]
+            if len(found) >= budget or p.shared[other] >= budget:
                 return None
-            # one more shared stage for both m and the owner
-            if len(found) >= budget or p.shared[owner] >= budget:
-                return None
-            found[cell] = owner
+            found.append(other)
         return found
 
-    def join(self, p: _Pass, m: int, shared: dict[int, int]) -> None:
-        p.owner.update(dict.fromkeys(self.cells[m], m))
-        p.owner.update(shared)
-        for o in shared.values():
-            p.shared[o] += 1
-        p.shared[m] = len(shared)
+    def first_fit(self, m: int) -> tuple[int, list[int]]:
+        """The first pass m can join, and the members it would meet there."""
+        occupied, blocked = self.masks(m)
+        free = ((occupied + 1) & ~occupied).bit_length() - 1
+        check = occupied & ~blocked & ((1 << free) - 1)
+        while check:
+            i = (check & -check).bit_length() - 1
+            met = self.partners(i, m)
+            if met is not None:
+                return i, met
+            check &= check - 1
+        return free, []
 
-    def leave(self, p: _Pass, m: int, shared: dict[int, int]) -> None:
-        """Undo join(p, m, shared)."""
-        for cell in self.cells[m]:
-            if cell not in shared:
-                del p.owner[cell]
-        for o in shared.values():
-            p.shared[o] -= 1
+    def join(self, i: int, m: int, met: list[int]) -> None:
+        """Add m to pass i, opening it when i is one past the last pass."""
+        if i == len(self.passes):
+            self.passes.append(_Pass({}, [0] * len(self.used) if self.budget else None))
+        p = self.passes[i]
+        bit = 1 << i
+        p.shared[m] = len(met)
+        if p.member is None:
+            taken = self.taken
+            for cell in self.cells[m]:
+                taken[cell] |= bit
+            return
+        used, member = self.used, p.member
+        for line in self.lines[m]:
+            used[line] |= bit
+            member[line] = m
+        for other in met:
+            p.shared[other] += 1
+
+    def leave(self, i: int, m: int, met: list[int]) -> None:
+        """Undo join(i, m, met), closing pass i if m was its only member."""
+        p = self.passes[i]
+        keep = ~(1 << i)
+        if p.member is None:
+            taken = self.taken
+            for cell in self.cells[m]:
+                taken[cell] &= keep
+        else:
+            used = self.used
+            for line in self.lines[m]:
+                used[line] &= keep
+            for other in met:
+                p.shared[other] -= 1
         del p.shared[m]
+        if not p.shared:
+            self.passes.pop()
 
-    def open(self, m: int) -> None:
-        p = _Pass({}, {})
-        self.join(p, m, {})
-        self.passes.append(p)
+    def lower_bound(self) -> int:
+        """Passes every legal schedule needs: the most messages on one
+        (stage, out-line), and the most on one (stage, switch) cell, or half
+        that rounded up at budget ≥ 1, as a legal pass holds at most two
+        members on a switch."""
+        switches, out_lines = self.table
+        if not switches.size:
+            return 0
+        stages = np.arange(self.net.stages)
+        on_line = np.bincount((out_lines + self.net.size * stages).ravel()).max()
+        on_cell = np.bincount((switches + self.net.size // 2 * stages).ravel()).max()
+        return int(max(on_line, -(-on_cell // 2) if self.budget else on_cell))
 
     def schedule(self, config: ScheduleConfig) -> Schedule:
         return Schedule(
@@ -167,13 +235,8 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
         degree = np.bincount(np.r_[a, b], minlength=len(order)).tolist()
         order.sort(key=lambda i: -degree[i])
     for m in order:
-        for p in state.passes:
-            shared = state.shared_cells(p, m)
-            if shared is not None:
-                state.join(p, m, shared)
-                break
-        else:
-            state.open(m)
+        i, met = state.first_fit(m)
+        state.join(i, m, met)
     return state.schedule(config)
 
 
@@ -184,7 +247,8 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     trying pass 0, 1, ... and opening at most one new pass per step; the
     first complete assignment found this way is the lexicographically
     smallest feasible assignment vector, which makes the output byte-stable.
-    A map with no messages gets no passes.
+    The deepening starts at the occupancy's lower bound, as every smaller
+    count fails anyway.  A map with no messages gets no passes.
     """
     count = len(perm.pairs)
     if count > EXACT_CAP:
@@ -195,26 +259,21 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     def assign(i: int, limit: int) -> bool:
         if i == count:
             return True
-        opened = len(passes)
-        for c in range(min(opened + 1, limit)):
-            if c == opened:
-                state.open(i)
-                if assign(i + 1, limit):
-                    return True
-                passes.pop()
+        occupied, blocked = state.masks(i)
+        for c in range(min(len(passes) + 1, limit)):
+            if blocked >> c & 1:
                 continue
-            p = passes[c]
-            shared = state.shared_cells(p, i)
-            if shared is None:
+            met = state.partners(c, i) if occupied >> c & 1 else []
+            if met is None:
                 continue
-            state.join(p, i, shared)
+            state.join(c, i, met)
             if assign(i + 1, limit):
                 return True
-            state.leave(p, i, shared)
+            state.leave(c, i, met)
         return False
 
-    for limit in range(1, count + 1):
-        passes.clear()
+    # a failed search undoes every join, so each limit starts from no passes
+    for limit in range(state.lower_bound(), count + 1):
         if assign(0, limit):
             break
     return state.schedule(config)
@@ -226,13 +285,14 @@ def validate_schedule(
     schedule: Schedule,
     config: ScheduleConfig | None = None,
 ) -> ValidationReport:
-    """Check the schedule against conflicts recomputed pass by pass.
+    """Check the schedule against conflicts recomputed from the path table.
 
-    Each pass's rows of the path table are paired by shared switch
-    (`shared_pairs`); nothing is read from the occupancy the schedulers
-    used.  Coverage errors (an index missing, duplicated, or out of range)
-    raise; semantic problems are returned as violations: link conflicts in
-    (a, b) order, then budget overruns in member order, per pass.
+    One `shared_pairs` call pairs the rows of every pass by shared switch,
+    each pass's switches offset so that its rows meet only each other;
+    nothing is read from the occupancy the schedulers used.  Coverage
+    errors (an index missing, duplicated, or out of range) raise; semantic
+    problems are returned as violations: link conflicts in (a, b) order,
+    then budget overruns in member order, per pass.
     """
     config = config or schedule.config
     count = len(perm.pairs)
@@ -249,28 +309,38 @@ def validate_schedule(
         raise CoverageError(f"messages {missing} missing from the schedule")
 
     switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
-    violations: list[Violation] = []
-    semi: list[bool] = []
-    for pi, members in enumerate(schedule.passes):
-        rows = np.sort(np.asarray(members, dtype=np.intp))
-        a, b, stage, link = shared_pairs(switches[rows], out_lines[rows])
-        semi.append(not a.size)
-        if not a.size:
-            continue
-        a, b = rows[a], rows[b]
-        for x, y, s in zip(a[link].tolist(), b[link].tolist(), stage[link].tolist()):
-            violations.append(Violation("link", pi, (x, y), (s,)))
-        if config.budget is not None:
-            # each member's distinct shared stages, in member then stage order;
-            # sorted by hand, as np.unique imports numpy.ma on its first call
-            width = net.stages + 1
-            keys = np.sort(np.concatenate([a, b]) * width + np.concatenate([stage, stage]))
-            member, at = np.divmod(keys[np.concatenate([[True], keys[1:] != keys[:-1]])], width)
-            counts = np.bincount(member)
-            over = np.flatnonzero(counts > config.budget)
-            starts = np.searchsorted(member, over)
-            for m, s, e in zip(over.tolist(), starts.tolist(), (starts + counts[over]).tolist()):
-                violations.append(Violation("budget", pi, (m,), tuple(at[s:e].tolist())))
+    # every pass's sorted rows in one table, each pass's switches moved past
+    # the last pass's so that rows of different passes never meet
+    rows = [np.sort(np.asarray(members, dtype=np.intp)) for members in schedule.passes]
+    sizes = [len(r) for r in rows]
+    order = np.concatenate([np.empty(0, dtype=np.intp), *rows])
+    lane = np.repeat(np.arange(len(rows)), sizes)
+    a, b, stage, link = shared_pairs(switches[order] + (net.size // 2 * lane)[:, None], out_lines[order])
+    # a pass's pairs are those whose row a is one of its rows
+    cuts = np.searchsorted(a, np.cumsum([0, *sizes]))
+    semi = (cuts[:-1] == cuts[1:]).tolist()
+    if not a.size:
+        return ValidationReport(violations=[], semi_permutation_passes=semi)
+    at_pass = lane[a]
+    a, b = order[a], order[b]
+    links = zip(at_pass[link].tolist(), a[link].tolist(), b[link].tolist(), stage[link].tolist())
+    violations = [Violation("link", pi, (x, y), (s,)) for pi, x, y, s in links]
+    if config.budget is not None:
+        # each member's distinct shared stages, in member then stage order;
+        # sorted by hand, as np.unique imports numpy.ma on its first call
+        width = net.stages + 1
+        keys = np.sort(np.concatenate([a, b]) * width + np.concatenate([stage, stage]))
+        member, at = np.divmod(keys[np.concatenate([[True], keys[1:] != keys[:-1]])], width)
+        counts = np.bincount(member)
+        over = np.flatnonzero(counts > config.budget)
+        starts = np.searchsorted(member, over)
+        member_pass = np.empty(count, dtype=np.intp)
+        member_pass[order] = lane
+        found = zip(member_pass[over].tolist(), over.tolist(), starts.tolist(), (starts + counts[over]).tolist())
+        for pi, m, s, e in found:
+            violations.append(Violation("budget", pi, (m,), tuple(at[s:e].tolist())))
+        # per pass, link violations first; the sort is stable, so each kind keeps its order
+        violations.sort(key=lambda v: (v.pass_index, v.kind == "budget"))
     return ValidationReport(violations=violations, semi_permutation_passes=semi)
 
 

@@ -12,6 +12,7 @@ from ominsim import (
     ConflictKind,
     CoverageError,
     IndexOutOfRangeError,
+    Message,
     Schedule,
     ScheduleConfig,
     TooLargeError,
@@ -21,6 +22,7 @@ from ominsim import (
     conflict_stages,
     full_permutation,
     make_permutation,
+    path_table,
     schedule_exact,
     schedule_greedy,
     schedule_json,
@@ -397,3 +399,89 @@ def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypat
     monkeypatch.undo()
     for schedule in schedules:
         assert validate_schedule(omega8, showcase, schedule).ok
+
+
+def _masks_from_members(net, perm, state):
+    """`taken` (budget 0) or `used` (budget ≥ 1) rebuilt from the path table
+    and each pass's members, with the member leaving on each used line."""
+    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    half = net.size // 2
+    taken = [0] * (half * net.stages)
+    used = [0] * (net.size * net.stages)
+    on_line = {}
+    for i, p in enumerate(state.passes):
+        for m in p.shared:
+            for k in range(net.stages):
+                taken[k * half + switches[m, k]] |= 1 << i
+                line = k * net.size + out_lines[m, k]
+                used[line] |= 1 << i
+                on_line[i, line] = m
+    return taken, used, on_line
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0, 1, None]), st.data())
+def test_occupancy_masks_equal_members(topology, size, budget, data):
+    """Through random joins, leaves and passes opened and closed again, as
+    the exact solver makes them, the masks equal those of the members."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    state = scheduler._Occupancy(net, perm, budget)
+    joined = []  # (pass, message, members met), undone last first
+    for _ in range(data.draw(st.integers(1, 3 * len(perm) + 1))):
+        waiting = sorted(set(range(len(perm))) - {m for _, m, _ in joined})
+        if joined and (not waiting or data.draw(st.booleans())):
+            state.leave(*joined.pop())
+        elif waiting:
+            m = data.draw(st.sampled_from(waiting))
+            occupied, blocked = state.masks(m)
+            fits = {len(state.passes): []}
+            for i in range(len(state.passes)):
+                if blocked >> i & 1:
+                    continue
+                met = state.partners(i, m) if occupied >> i & 1 else []
+                if met is not None:
+                    fits[i] = met
+            i = data.draw(st.sampled_from(sorted(fits)))
+            state.join(i, m, fits[i])
+            joined.append((i, m, fits[i]))
+        members = [sorted(m for j, m, _ in joined if j == i) for i in range(len(state.passes))]
+        assert [sorted(p.shared) for p in state.passes] == members
+        # each member's shared-stage count: the stages where another member is on its switch
+        switches = state.table[0]
+        for p, ms in zip(state.passes, members):
+            assert p.shared == {m: int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms}
+        taken, used, on_line = _masks_from_members(net, perm, state)
+        if budget == 0:
+            assert state.taken == taken
+        else:
+            assert state.used == used
+            assert {(i, line): state.passes[i].member[line] for i, line in on_line} == on_line
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16]), st.data())
+def test_lower_bound_never_exceeds_the_fewest_passes(topology, size, data):
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    if len(perm) > 8:
+        perm = make_permutation(perm.pairs[:8], size)
+    budget = data.draw(st.sampled_from([0, 1, 2, None]))
+    bound = scheduler._Occupancy(net, perm, budget).lower_bound()
+    assert bound <= len(_smallest_valid_assignment(net, perm, budget))
+
+
+def test_exact_starts_at_the_lower_bound():
+    """Seven of these 19 messages go to destination 9, so every schedule
+    needs 7 passes; proving that from 1 pass up took the search ~20 s."""
+    net = build_network(32, Topology.OMEGA)
+    ends = (
+        "29 9, 22 9, 18 9, 1 25, 2 9, 31 9, 7 9, 13 19, 5 21, 12 21, "
+        "26 2, 4 25, 10 2, 16 0, 30 0, 28 2, 17 2, 0 9, 15 26"
+    )
+    perm = make_permutation([Message(*map(int, e.split())) for e in ends.split(", ")], 32)
+    for budget in (0, 1, None):
+        assert scheduler._Occupancy(net, perm, budget).lower_bound() == 7
+        schedule = schedule_exact(net, perm, exact_cfg(budget))
+        assert schedule.pass_count == 7
+        assert validate_schedule(net, perm, schedule).ok
