@@ -12,9 +12,9 @@ Modes are resolved per trial as a chain of drop phases, each starting from
 the previous (more permissive) survivor set, so survivor sets are nested by
 construction and with/without-crosstalk comparisons are variance-free.
 Every contest keeps the lowest source.  resolve_single_pass is the Python
-reference; passability, monte_carlo and the random-permutation study
-resolve through the vectorised mc_kernel.resolve_batch, which matches it
-trial by trial.
+reference; monte_carlo and the random-permutation study resolve through
+the vectorised mc_kernel.resolve_batch, which matches it trial by trial,
+and passability is one load-1 trial of monte_carlo over its map.
 """
 from __future__ import annotations
 
@@ -224,16 +224,6 @@ def resolve_single_pass(
     return result
 
 
-def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> float:
-    """Fraction of the map's requests that mature in a single pass."""
-    budgets = [] if mode is None else [mode]
-    _check_budgets(budgets)
-    if not perm.pairs:
-        return 0.0
-    alive = resolve_batch(net, permutation_dests(net, perm)[None], budgets)[mode]
-    return int(alive.sum()) / len(perm.pairs)
-
-
 def _mode_stats(mode: Mode, matured: np.ndarray, offered: int) -> ModeStats:
     """Mean, standard error and passability of per-trial survivor counts."""
     arr = matured.astype(float)
@@ -294,6 +284,13 @@ def monte_carlo(
     )
 
 
+def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> float:
+    """Fraction of the map's requests that mature in a single pass: one
+    trial of monte_carlo at load 1, where every source of the map requests."""
+    report = monte_carlo(net, TrafficModel(permutation=perm), [mode], trials=1, seed=0)
+    return float(report.modes[0].passability)
+
+
 def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
     """Uniform random full permutation via a stream-driven Fisher-Yates shuffle.
 
@@ -305,7 +302,7 @@ def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
     for i in range(size - 1, 0, -1):
         j = stream.below(i + 1)
         dest[i], dest[j] = dest[j], dest[i]
-    return PermutationMap(tuple(Message(s, d) for s, d in enumerate(dest)), size, partial=False)
+    return PermutationMap(tuple(Message(s, d) for s, d in enumerate(dest)), size)
 
 
 def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: ScheduleConfig) -> SimReport:
@@ -322,7 +319,6 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     if config.budget not in (None, 0):
         modes.append(config.budget)
     modes.append(0)
-    _check_budgets(modes[1:])
     solve = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
     matured: dict[Mode, list] = {m: [] for m in modes}
     histogram: dict[int, int] = {}

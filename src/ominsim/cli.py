@@ -59,8 +59,6 @@ def _parse_budget(token: str) -> int | None:
         value = int(token)
     except ValueError:
         raise ParseError(f"budget must be an integer or 'unlimited', got {token!r}") from None
-    if value < 0:
-        raise ParseError(f"budget must be >= 0, got {value}")
     return value
 
 
@@ -145,36 +143,31 @@ def _bandwidth_rows(args) -> list[dict]:
     rows: list[dict] = []
     for size in sizes:
         net = build_network(size, parse_topology(args.topology))
+        # (mode, trials, mean_bw, stderr, passability) per row; the analytic
+        # row keeps integer trials and stderr
         if args.mode == "analytic":
             curve = analytic_bandwidth(net.stages, args.load)
+            passability = _jnum(curve.final_probability / args.load) if args.load else 0.0
+            results = [("analytic", 0, _jnum(curve.bandwidth), 0, passability)]
+        else:
+            modes = _parse_modes(args.crosstalk)
+            report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
+            results = [
+                (stat.label, args.trials, _jnum(stat.mean_matured), _jnum(stat.stderr), _jnum(stat.passability))
+                for stat in report.modes
+            ]
+        for mode, trials, mean_bw, stderr, passability in results:
             rows.append(
                 {
                     "size": size,
                     "topology": net.topology.value,
                     "load": args.load,
-                    "mode": "analytic",
-                    "trials": 0,
+                    "mode": mode,
+                    "trials": trials,
                     "seed": args.seed,
-                    "mean_bw": _jnum(curve.bandwidth),
-                    "stderr": 0,
-                    "passability": _jnum(curve.final_probability / args.load) if args.load else 0.0,
-                }
-            )
-            continue
-        modes = _parse_modes(args.crosstalk)
-        report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
-        for stat in report.modes:
-            rows.append(
-                {
-                    "size": size,
-                    "topology": net.topology.value,
-                    "load": args.load,
-                    "mode": stat.label,
-                    "trials": args.trials,
-                    "seed": args.seed,
-                    "mean_bw": _jnum(stat.mean_matured),
-                    "stderr": _jnum(stat.stderr),
-                    "passability": _jnum(stat.passability),
+                    "mean_bw": mean_bw,
+                    "stderr": stderr,
+                    "passability": passability,
                 }
             )
     return rows

@@ -19,11 +19,11 @@ resolves its one map as a single trial:
 * A message's shared count is the number of its recorded shares whose
   partner is still alive: a drop decrements the counts of the victim's
   recorded partners, and nothing else needs undoing.
-* Until a share has stood in a sweep, every count is 0 and no partner is
-  recorded, so a drop cannot change any other decision and each one is
-  final when first made: at budget 0 the higher source drops, at budget
-  >= 1 the share stands.  Those stages, the whole sweep at budget 0, keep
-  no counts or partners and need no fixed point.
+* A message meets one switch per stage, so at stage k (from 0) its shared
+  count is at most k and no stage below the budget can drop: there every
+  share stands.  At budget 0 every contested pair drops its higher source,
+  so that sweep keeps no counts; at budget >= 1 only the stages k >= budget
+  need the fixed point below.
 * The reference visits the switches of a stage in ascending order, and a
   drop at a lower switch can lower a count at a higher switch of the same
   stage.  Each stage therefore recomputes its victims until they stop
@@ -137,27 +137,25 @@ def _budget_sweep(
     slot, lower slot, switch within the trial); the sweep keeps those whose
     two messages it still has alive.  At a contested switch the share stands
     while both counts stay within budget; otherwise the message with the
-    larger count drops, the higher source on a tie.  Until a share has
-    stood, every count is 0 and no partner is recorded, so each decision is
-    final when first made and those stages skip the fixed point.
+    larger count drops, the higher source on a tie.  A message meets one
+    switch per stage, so at stage k its count is at most k: no stage below
+    the budget can drop, and only stages k >= budget run the fixed point.
     """
-    n, half = net.stages, net.size // 2
     alive = start.copy()
-    partner = None
+    if budget == 0:
+        for a, b, _ in pairs:
+            live = alive[a] & alive[b]
+            alive[np.maximum(a[live], b[live])] = False
+        return alive
+    n, half = net.stages, net.size // 2
+    count = np.zeros(alive.size, dtype=np.intp)
+    # Slot N is trial 0's empty line: never alive, so a safe "no partner".
+    partner = np.full((n, alive.size), net.size, dtype=np.intp)
+    dropped_at = np.full(alive.size, half, dtype=np.intp)
     for k, (a, b, switch) in enumerate(pairs):
         live = alive[a] & alive[b]
         a, b, switch = a[live], b[live], switch[live]
-        if partner is None:
-            if budget == 0:
-                alive[np.maximum(a, b)] = False
-                continue
-            if not a.size:
-                continue
-            count = np.zeros(alive.size, dtype=np.intp)
-            # Slot N is trial 0's empty line: never alive, so a safe "no partner".
-            partner = np.full((n, alive.size), net.size, dtype=np.intp)
-            dropped_at = np.full(alive.size, half, dtype=np.intp)
-        else:
+        if k >= budget:
             count_a, count_b = count[a], count[b]
             partners_a, partners_b = partner[:k, a], partner[:k, b]
             victims = np.full(a.size, -1, dtype=np.intp)

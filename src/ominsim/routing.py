@@ -52,13 +52,16 @@ class PermutationMap:
     """An ordered set of messages with distinct sources.
 
     A map with exactly `size` entries is a full permutation (destinations
-    are then distinct as well); anything shorter is flagged partial and may
+    are then distinct as well); anything shorter is partial and may
     repeat destinations.
     """
 
     pairs: tuple[Message, ...]
     size: int
-    partial: bool
+
+    @property
+    def partial(self) -> bool:
+        return len(self.pairs) < self.size
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -76,14 +79,13 @@ def make_permutation(pairs: Iterable[Message], size: int) -> PermutationMap:
         if msg.source in seen_sources:
             raise DuplicateSourceError(f"source {msg.source} listed twice")
         seen_sources.add(msg.source)
-    full = len(pairs) == size
-    if full:
+    if len(pairs) == size:
         dests = set()
         for msg in pairs:
             if msg.destination in dests:
                 raise DuplicateDestinationError(f"destination {msg.destination} listed twice in a full permutation")
             dests.add(msg.destination)
-    return PermutationMap(pairs=pairs, size=size, partial=not full)
+    return PermutationMap(pairs=pairs, size=size)
 
 
 def full_permutation(net: NetworkSpec, destinations: Sequence[int]) -> PermutationMap:

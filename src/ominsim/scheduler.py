@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conflict import shared_pairs
-from .errors import CoverageError, IndexOutOfRangeError, TooLargeError
+from .errors import CoverageError, IndexOutOfRangeError, OutOfRangeError, TooLargeError
 from .routing import PermutationMap, path_table
 from .topology import NetworkSpec
 
@@ -34,6 +34,10 @@ class Algorithm(Enum):
 class ScheduleConfig:
     budget: int | None = 0  # None means unlimited crosstalk
     algorithm: Algorithm = Algorithm.GREEDY_ORDER
+
+    def __post_init__(self):
+        if self.budget is not None and self.budget < 0:
+            raise OutOfRangeError(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass
@@ -250,6 +254,8 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     The deepening starts at the occupancy's lower bound, as every smaller
     count fails anyway.  A map with no messages gets no passes.
     """
+    if config.algorithm is not Algorithm.EXACT:
+        raise ValueError(f"exact scheduler got algorithm {config.algorithm}")
     count = len(perm.pairs)
     if count > EXACT_CAP:
         raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")

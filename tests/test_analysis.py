@@ -120,6 +120,7 @@ class TestPassability:
     def test_showcase_values(self, omega8, showcase):
         assert passability(omega8, showcase, None) == 1.0
         assert passability(omega8, showcase, 0) == 0.25
+        assert type(passability(omega8, showcase, 0)) is float
 
     def test_identity_allow(self, omega4):
         assert passability(omega4, full_permutation(omega4, [0, 1, 2, 3]), None) == 1.0

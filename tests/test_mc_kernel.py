@@ -112,11 +112,11 @@ def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials,
 
 
 @pytest.mark.parametrize("topology", ["omega", "baseline"])
-@pytest.mark.parametrize("budgets", [[1, 0], [0], [2, 1, 0], [3]], ids=str)
+@pytest.mark.parametrize("budgets", [[1, 0], [0], [2, 1, 0], [3], list(range(8))], ids=str)
 def test_workload_shaped_batch(topology, budgets):
     """n = 8 stages: a free sweep straight from the allow survivors, budgets
-    whose first stages need no fixed point, and chains that read one pair
-    list."""
+    whose stages below the budget need no fixed point, chains that read one
+    pair list, and the full chain of every budget 0 .. n - 1."""
     net = build_network(256, topology)
     traffic = TrafficModel(load=1.0)
     assert kernel_counts(net, traffic, budgets, 20, 0x5EED) == reference_counts(net, traffic, budgets, 20, 0x5EED)

@@ -13,6 +13,7 @@ from ominsim import (
     CoverageError,
     IndexOutOfRangeError,
     Message,
+    OutOfRangeError,
     Schedule,
     ScheduleConfig,
     TooLargeError,
@@ -60,7 +61,8 @@ def test_welsh_powell_showcase(omega8, showcase):
 
 def test_greedy_single_message(omega4):
     perm = full_permutation(omega4, [0, 1, 2, 3])
-    single = type(perm)(pairs=perm.pairs[:1], size=4, partial=True)
+    single = type(perm)(pairs=perm.pairs[:1], size=4)
+    assert single.partial and not perm.partial
     for budget in (0, 1, None):
         assert schedule_greedy(omega4, single, ScheduleConfig(budget=budget)).pass_count == 1
 
@@ -194,6 +196,19 @@ def test_source_pair_decomposition_is_crosstalk_free(omega8, showcase):
 def test_greedy_rejects_exact_algorithm(omega8, showcase):
     with pytest.raises(ValueError):
         schedule_greedy(omega8, showcase, exact_cfg(0))
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL])
+def test_exact_rejects_greedy_algorithms(omega8, showcase, algorithm):
+    """The exact scheduler's output is labelled with its config's
+    algorithm, so a config naming a greedy order is refused."""
+    with pytest.raises(ValueError):
+        schedule_exact(omega8, showcase, ScheduleConfig(budget=0, algorithm=algorithm))
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(OutOfRangeError, match=r"^budget must be >= 0, got -1$"):
+        ScheduleConfig(budget=-1)
 
 
 def test_degree_descending_order_is_deterministic(omega8, showcase):
