@@ -32,10 +32,10 @@ def main():
     net = build_network(8, args.topology)
     perm = full_permutation(net, SHOWCASE_DESTS)
     print(f"network: N={net.size}, {net.stages} stages of {net.switches_per_stage} switches")
-    print("permutation:", " ".join(f"{m.source}->{m.destination}" for m in perm.pairs))
+    print("permutation:", " ".join(f"{s}->{d}" for s, d in zip(perm.sources.tolist(), perm.dests.tolist())))
 
-    a, b, stage, link = shared_pairs(*path_table(net, [m.source for m in perm.pairs], perm.destinations()))
-    degree = np.bincount(np.r_[a, b], minlength=len(perm.pairs))
+    a, b, stage, link = shared_pairs(*path_table(net, perm.sources, perm.dests))
+    degree = np.bincount(np.r_[a, b], minlength=len(perm))
     print(f"\nconflict graph: {a.size} edges, max degree {degree.max()}")
     for x, y, s, is_link in zip(a.tolist(), b.tolist(), stage.tolist(), link.tolist()):
         print(f"  {x} -- {y}  stages {s} ({'link' if is_link else 'crosstalk'})")
@@ -53,7 +53,7 @@ def main():
     print("\nsingle-pass maturation (lowest source wins):")
     for mode in (None, 1, 0):
         frac = passability(net, perm, mode)
-        print(f"  {mode_label(mode):9s} {frac * len(perm.pairs):.0f}/{len(perm.pairs)} mature ({frac:.2f})")
+        print(f"  {mode_label(mode):9s} {frac * len(perm):.0f}/{len(perm)} mature ({frac:.2f})")
 
 
 if __name__ == "__main__":

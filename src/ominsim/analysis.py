@@ -38,6 +38,14 @@ POLICY = "lowest-source"
 Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budget
 
 
+def check_mode(mode: Mode) -> Mode:
+    """A mode is allow (None) or a budget >= 0; resolve_batch does not
+    check, and at -1 it would drop every contested message."""
+    if mode is not None and mode < 0:
+        raise OutOfRangeError(f"crosstalk budget must be >= 0, got {mode}")
+    return mode
+
+
 def mode_label(mode: Mode) -> str:
     if mode is None:
         return "allow"
@@ -187,14 +195,6 @@ def _budget_sweep(
     return alive
 
 
-def _check_budgets(budgets: Sequence[int]) -> None:
-    """Budgets are >= 0; resolve_batch does not check, and at -1 it would
-    drop every contested message."""
-    for budget in budgets:
-        if budget < 0:
-            raise OutOfRangeError(f"budget must be >= 0, got {budget}")
-
-
 def resolve_single_pass(
     net: NetworkSpec,
     requests: Sequence[Message],
@@ -213,7 +213,8 @@ def resolve_single_pass(
         if msg.source in seen:
             raise DuplicateSourceError(f"source {msg.source} requested twice")
         seen.add(msg.source)
-    _check_budgets(budgets)
+    for budget in budgets:
+        check_mode(budget)
     switches, outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests])
     switches, outlines = switches.tolist(), outlines.tolist()
     alive = _allow_sweep(requests, outlines, net.stages)
@@ -256,10 +257,10 @@ def monte_carlo(
     check_seed(seed)
     wanted: list[Mode] = []
     for m in modes:
+        check_mode(m)
         if m not in wanted:
             wanted.append(m)
     budgets = [m for m in wanted if m is not None]
-    _check_budgets(budgets)
     perm = traffic.permutation
     perm_dests = None if perm is None else permutation_dests(net, perm)
     matured: dict[Mode, list] = {m: [] for m in wanted}
@@ -295,14 +296,14 @@ def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
     """Uniform random full permutation via a stream-driven Fisher-Yates shuffle.
 
     A shuffle of range(size) cannot repeat a source or a destination, so the
-    map is built without make_permutation's checks."""
+    map is built without full_permutation's checks."""
     if size < 4 or size & (size - 1):
         raise NotPowerOfTwoError(f"permutation size must be a power of two >= 4, got {size}")
     dest = list(range(size))
     for i in range(size - 1, 0, -1):
         j = stream.below(i + 1)
         dest[i], dest[j] = dest[j], dest[i]
-    return PermutationMap(tuple(Message(s, d) for s, d in enumerate(dest)), size)
+    return PermutationMap(np.arange(size), dest, size)
 
 
 def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: ScheduleConfig) -> SimReport:
@@ -326,7 +327,7 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     for first in range(0, trials, chunk):
         stop = min(first + chunk, trials)
         perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
-        survivors = resolve_batch(net, np.array([perm.destinations() for perm in perms]), modes[1:])
+        survivors = resolve_batch(net, np.stack([perm.dests for perm in perms]), modes[1:])
         for m in modes:
             matured[m].append(survivors[m].sum(axis=1))
         for perm in perms:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import Mode, TrafficModel, analytic_bandwidth, monte_carlo, random_permutation_study
+from .analysis import Mode, TrafficModel, analytic_bandwidth, check_mode, monte_carlo, random_permutation_study
 from .conflict import edges_csv, shared_pairs
 from .errors import ParseError, SimulatorError
 from .routing import parse_permutation, path_table, trace_path
@@ -73,9 +73,7 @@ def _parse_mode(token: str) -> Mode:
             value = int(token[len("budget="):])
         except ValueError:
             raise ParseError(f"bad crosstalk mode {token!r}") from None
-        if value < 0:
-            raise ParseError(f"crosstalk budget must be >= 0, got {value}")
-        return value
+        return check_mode(value)
     raise ParseError(f"bad crosstalk mode {token!r}: expected allow, free, or budget=K")
 
 
@@ -95,8 +93,7 @@ def _cmd_route(args) -> int:
 def _cmd_conflicts(args) -> int:
     net = build_network(args.size, parse_topology(args.topology))
     perm = parse_permutation(_read_text(args.perm), net)
-    table = path_table(net, [m.source for m in perm.pairs], perm.destinations())
-    _emit(edges_csv(*shared_pairs(*table)), args.output)
+    _emit(edges_csv(*shared_pairs(*path_table(net, perm.sources, perm.dests))), args.output)
     return 0
 
 

@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateSourceError, OutOfRangeError
-from .routing import PermutationMap
+from .errors import OutOfRangeError
+from .routing import PermutationMap, first_outside
 from .streams import MASK64, stream_draws, trial_states
 from .topology import NetworkSpec, wiring
 
@@ -60,14 +60,15 @@ def _feeders(net: NetworkSpec) -> np.ndarray:
 
 
 def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:
-    """Destination of every source under a fixed map; -1 where it has none."""
+    """Destination of every source under a fixed map; -1 where it has none.
+    The map's endpoints lie in [0, perm.size); one built for a larger
+    network must also fit this one."""
+    if perm.size > net.size:
+        i = first_outside(net.size, perm.sources, perm.dests)
+        if i < len(perm):
+            raise OutOfRangeError(f"endpoints of {perm.sources[i]}->{perm.dests[i]} outside [0, {net.size})")
     dests = np.full(net.size, -1, dtype=np.int64)
-    for msg in perm.pairs:
-        if not (0 <= msg.source < net.size and 0 <= msg.destination < net.size):
-            raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {net.size})")
-        if dests[msg.source] >= 0:
-            raise DuplicateSourceError(f"source {msg.source} requested twice")
-        dests[msg.source] = msg.destination
+    dests[perm.sources] = perm.dests
     return dests
 
 

@@ -4,6 +4,7 @@ the path table, and the permutation file format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,52 +48,121 @@ class Path:
         return tuple(h.out_port for h in self.hops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationMap:
-    """An ordered set of messages with distinct sources.
+    """An ordered set of messages with distinct sources, held as two
+    read-only integer arrays: message i runs sources[i] -> dests[i].
 
     A map with exactly `size` entries is a full permutation (destinations
     are then distinct as well); anything shorter is partial and may
-    repeat destinations.
+    repeat destinations.  make_permutation, full_permutation and
+    parse_permutation check a map once, as they build it; the constructor
+    trusts its arrays.
     """
 
-    pairs: tuple[Message, ...]
+    sources: np.ndarray
+    dests: np.ndarray
     size: int
+
+    def __post_init__(self):
+        for name in ("sources", "dests"):
+            values = np.array(getattr(self, name), dtype=np.intp)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @cached_property
+    def pairs(self) -> tuple[Message, ...]:
+        """The messages as records, built on first use, for the traced
+        oracles (`trace_path` and its callers)."""
+        return tuple(map(Message, self.sources.tolist(), self.dests.tolist()))
 
     @property
     def partial(self) -> bool:
-        return len(self.pairs) < self.size
+        return len(self.sources) < self.size
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.sources)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.size == other.size
+            and np.array_equal(self.sources, other.sources)
+            and np.array_equal(self.dests, other.dests)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.pairs, self.size))
 
     def destinations(self) -> tuple[int, ...]:
-        return tuple(m.destination for m in self.pairs)
+        return tuple(self.dests.tolist())
+
+
+def int_array(values: Iterable[int]) -> np.ndarray:
+    """Endpoints or indices as an integer array.  A value too large for
+    one, which no network has, stays a Python int in an object array, so
+    that the range check reports it like any other."""
+    values = list(values)
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def first_outside(size: int, *columns: np.ndarray) -> int:
+    """Index of the first row where one of the equal-length `columns` holds
+    a value outside [0, size), or their length when there is none."""
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for values in columns:
+        bad = bad | (values < 0) | (values >= size)
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def first_repeat(values: np.ndarray, size: int) -> int | None:
+    """The first of `values`, in order, that equals an earlier one, or None.
+    Every value lies in [0, size)."""
+    values = np.asarray(values, dtype=np.intp)
+    if not values.size or np.bincount(values, minlength=size).max() < 2:
+        return None
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # stable: of two equal values the later index sorts second
+    return int(values[order[1:][ordered[1:] == ordered[:-1]].min()])
+
+
+def _checked(sources: np.ndarray, dests: np.ndarray, size: int, end: int | None = None) -> PermutationMap:
+    """The map sources[i] -> dests[i], checked in message order as one loop
+    would check it.  Messages before `end` (all of them when None) have
+    their endpoints in [0, size), and the message at `end` does not: a
+    source repeated before it is reported first."""
+    count = len(sources)
+    end = count if end is None else end
+    source = first_repeat(sources[:end], size)
+    if source is not None:
+        raise DuplicateSourceError(f"source {source} listed twice")
+    if end < count:
+        raise OutOfRangeError(f"endpoints of {sources[end]}->{dests[end]} outside [0, {size})")
+    if count == size:
+        dest = first_repeat(dests, size)
+        if dest is not None:
+            raise DuplicateDestinationError(f"destination {dest} listed twice in a full permutation")
+    return PermutationMap(sources, dests, size)
 
 
 def make_permutation(pairs: Iterable[Message], size: int) -> PermutationMap:
     pairs = tuple(pairs)
-    seen_sources: set[int] = set()
-    for msg in pairs:
-        if not (0 <= msg.source < size and 0 <= msg.destination < size):
-            raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {size})")
-        if msg.source in seen_sources:
-            raise DuplicateSourceError(f"source {msg.source} listed twice")
-        seen_sources.add(msg.source)
-    if len(pairs) == size:
-        dests = set()
-        for msg in pairs:
-            if msg.destination in dests:
-                raise DuplicateDestinationError(f"destination {msg.destination} listed twice in a full permutation")
-            dests.add(msg.destination)
-    return PermutationMap(pairs=pairs, size=size)
+    sources = int_array(m.source for m in pairs)
+    dests = int_array(m.destination for m in pairs)
+    return _checked(sources, dests, size, first_outside(size, sources, dests))
 
 
 def full_permutation(net: NetworkSpec, destinations: Sequence[int]) -> PermutationMap:
     """Build the full map source i -> destinations[i]."""
     if len(destinations) != net.size:
         raise OutOfRangeError(f"expected {net.size} destinations, got {len(destinations)}")
-    return make_permutation((Message(s, d) for s, d in enumerate(destinations)), net.size)
+    dests = int_array(destinations)
+    return _checked(np.arange(net.size), dests, net.size, first_outside(net.size, dests))
 
 
 def routing_bit(net: NetworkSpec, destination: int, stage: int) -> int:
@@ -140,9 +210,8 @@ def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -
     sources[i] -> dests[i]; entry [i, k - 1] belongs to stage k."""
     sources = np.asarray(sources, dtype=np.intp)
     dests = np.asarray(dests, dtype=np.intp)
-    bad = (sources < 0) | (sources >= net.size) | (dests < 0) | (dests >= net.size)
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = first_outside(net.size, sources, dests)
+    if i < sources.size:
         raise OutOfRangeError(f"endpoints of {sources[i]}->{dests[i]} outside [0, {net.size})")
     n = net.stages
     switches = np.empty((sources.size, n), dtype=np.intp)
@@ -157,25 +226,37 @@ def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
-    """Parse `SOURCE DESTINATION` lines; `#` starts a comment line."""
-    pairs = []
+    """Parse `SOURCE DESTINATION` lines; `#` starts a comment line.
+
+    Errors come in line order: a malformed line or an endpoint outside the
+    network, whichever comes first, then a repeated source, then a repeated
+    destination in a full map."""
+    sources, dests, linenos = [], [], []
+    malformed = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
         if len(tokens) != 2:
-            raise ParseError(f"expected 'SOURCE DESTINATION', got {stripped!r}", lineno)
+            malformed = ParseError(f"expected 'SOURCE DESTINATION', got {raw.strip()!r}", lineno)
+            break
         try:
             source, destination = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(f"non-integer field in {stripped!r}", lineno) from None
-        if not (0 <= source < net.size and 0 <= destination < net.size):
-            raise OutOfRangeError(f"line {lineno}: {source} {destination} outside [0, {net.size})")
-        pairs.append(Message(source, destination))
-    return make_permutation(pairs, net.size)
+            malformed = ParseError(f"non-integer field in {raw.strip()!r}", lineno)
+            break
+        sources.append(source)
+        dests.append(destination)
+        linenos.append(lineno)
+    source_array, dest_array = int_array(sources), int_array(dests)
+    i = first_outside(net.size, source_array, dest_array)
+    if i < len(sources):
+        raise OutOfRangeError(f"line {linenos[i]}: {sources[i]} {dests[i]} outside [0, {net.size})")
+    if malformed is not None:
+        raise malformed
+    return _checked(source_array, dest_array, net.size)
 
 
 def format_permutation(perm: PermutationMap) -> str:
     """Inverse of parse_permutation (modulo comments)."""
-    return "".join(f"{m.source} {m.destination}\n" for m in perm.pairs)
+    return "".join(f"{s} {d}\n" for s, d in zip(perm.sources.tolist(), perm.dests.tolist()))

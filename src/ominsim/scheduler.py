@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .conflict import shared_pairs
 from .errors import CoverageError, IndexOutOfRangeError, OutOfRangeError, TooLargeError
-from .routing import PermutationMap, path_table
+from .routing import PermutationMap, first_outside, first_repeat, int_array, path_table
 from .topology import NetworkSpec
 
 EXACT_CAP = 20  # most messages schedule_exact will search
@@ -105,7 +106,7 @@ class _Occupancy:
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
         self.net = net
-        self.table = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+        self.table = path_table(net, perm.sources, perm.dests)
         switches, out_lines = self.table
         stages = np.arange(net.stages)
         # no message has more than net.stages stages to share
@@ -233,7 +234,7 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
     state = _Occupancy(net, perm, config.budget)
-    order = sorted(range(len(perm.pairs)), key=lambda i: perm.pairs[i].source)
+    order = np.argsort(perm.sources, kind="stable").tolist()
     if config.algorithm is Algorithm.WELSH_POWELL:
         a, b, _, _ = shared_pairs(*state.table)
         degree = np.bincount(np.r_[a, b], minlength=len(order)).tolist()
@@ -256,7 +257,7 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     """
     if config.algorithm is not Algorithm.EXACT:
         raise ValueError(f"exact scheduler got algorithm {config.algorithm}")
-    count = len(perm.pairs)
+    count = len(perm)
     if count > EXACT_CAP:
         raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
     state = _Occupancy(net, perm, config.budget)
@@ -301,26 +302,26 @@ def validate_schedule(
     then budget overruns in member order, per pass.
     """
     config = config or schedule.config
-    count = len(perm.pairs)
-    seen: set[int] = set()
-    for members in schedule.passes:
-        for m in members:
-            if not 0 <= m < count:
-                raise IndexOutOfRangeError(f"message index {m} outside [0, {count})")
-            if m in seen:
-                raise CoverageError(f"message index {m} scheduled twice")
-            seen.add(m)
-    if len(seen) != count:
-        missing = sorted(set(range(count)) - seen)
+    count = len(perm)
+    # the members in the order a loop over the passes would meet them
+    members = int_array(chain.from_iterable(schedule.passes))
+    end = first_outside(count, members)
+    twice = first_repeat(members[:end], count)
+    if twice is not None:
+        raise CoverageError(f"message index {twice} scheduled twice")
+    if end < members.size:
+        raise IndexOutOfRangeError(f"message index {members[end]} outside [0, {count})")
+    if members.size != count:
+        missing = np.flatnonzero(np.bincount(members, minlength=count) == 0).tolist()
         raise CoverageError(f"messages {missing} missing from the schedule")
 
-    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    switches, out_lines = path_table(net, perm.sources, perm.dests)
     # every pass's sorted rows in one table, each pass's switches moved past
-    # the last pass's so that rows of different passes never meet
-    rows = [np.sort(np.asarray(members, dtype=np.intp)) for members in schedule.passes]
-    sizes = [len(r) for r in rows]
-    order = np.concatenate([np.empty(0, dtype=np.intp), *rows])
-    lane = np.repeat(np.arange(len(rows)), sizes)
+    # the last pass's so that rows of different passes never meet; lane is
+    # ascending, so sorting lane * count + member sorts within each pass
+    sizes = [len(p) for p in schedule.passes]
+    lane = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.sort(lane * count + members) - lane * count
     a, b, stage, link = shared_pairs(switches[order] + (net.size // 2 * lane)[:, None], out_lines[order])
     # a pass's pairs are those whose row a is one of its rows
     cuts = np.searchsorted(a, np.cumsum([0, *sizes]))
@@ -351,13 +352,21 @@ def validate_schedule(
 
 
 def schedule_json(net: NetworkSpec, perm: PermutationMap, schedule: Schedule) -> str:
-    """Stable JSON form; passes list member sources in ascending index order."""
-    doc = {
+    """Stable JSON form; passes list member sources in ascending index order.
+
+    The text is that of json.dumps(doc, indent=2) plus a newline, with the
+    passes written here: the standard encoder indents in pure Python."""
+    head = {
         "size": net.size,
         "topology": net.topology.value,
         "budget": "unlimited" if schedule.config.budget is None else schedule.config.budget,
         "algorithm": schedule.config.algorithm.value,
-        "passes": [[perm.pairs[m].source for m in p] for p in schedule.passes],
-        "violations": [],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    sources = perm.sources
+    passes = [
+        "[\n      " + ",\n      ".join(map(str, sources[p].tolist())) + "\n    ]" if len(p) else "[]"
+        for p in schedule.passes
+    ]
+    passes_text = "[\n    " + ",\n    ".join(passes) + "\n  ]" if passes else "[]"
+    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
+    return f'{{\n{fields}  "passes": {passes_text},\n  "violations": []\n}}\n'

@@ -82,9 +82,17 @@ def interconnect(net: NetworkSpec, stage: int, line: int) -> int:
 def wiring(net: NetworkSpec) -> np.ndarray:
     """(n, N) read-only wiring table: row k - 1 maps every line leaving
     stage k - 1 (or the inputs) onto interconnect(net, k, line)."""
-    table = np.array(
-        [[interconnect(net, stage, line) for line in range(net.size)] for stage in range(1, net.stages + 1)],
-        dtype=np.intp,
-    )
+    n = net.stages
+    lines = np.arange(net.size, dtype=np.intp)
+    table = np.empty((n, net.size), dtype=np.intp)
+    if net.topology is Topology.OMEGA:
+        table[:] = ((lines << 1) | (lines >> (n - 1))) & (net.size - 1)
+    else:
+        table[0] = lines
+        for stage in range(2, n + 1):
+            width = n - stage + 2
+            mask = (1 << width) - 1
+            local = lines & mask
+            table[stage - 1] = (lines & ~mask) | (local >> 1) | ((local & 1) << (width - 1))
     table.flags.writeable = False
     return table

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ominsim import NotPowerOfTwoError, parse_permutation, build_network
+from ominsim import NotPowerOfTwoError, OutOfRangeError, TrafficModel, build_network, monte_carlo, parse_permutation
 from ominsim.analysis import generate_random_permutation
 from ominsim.cli import build_parser, run
 from ominsim.streams import substream
@@ -172,6 +172,17 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --crosstalk must list at least one mode")
+
+
+@pytest.mark.parametrize("load", [[], ["--load", "2"]], ids=["good-load", "bad-load"])
+def test_negative_crosstalk_budget_has_one_message(load, capsys):
+    """The parser and the library share one check: the same words, and the
+    mode error comes before a bad load's."""
+    argv = ["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", "allow,budget=-1", "--trials", "5"]
+    assert run(argv + load) == 2
+    assert capsys.readouterr().err == "error: crosstalk budget must be >= 0, got -1\n"
+    with pytest.raises(OutOfRangeError, match=r"^crosstalk budget must be >= 0, got -1$"):
+        monte_carlo(build_network(8, "omega"), TrafficModel(), [None, -1], trials=2, seed=1)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

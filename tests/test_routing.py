@@ -9,6 +9,7 @@ from ominsim import (
     Message,
     OutOfRangeError,
     ParseError,
+    SimulatorError,
     Topology,
     UnsupportedTopologyError,
     build_network,
@@ -127,7 +128,7 @@ def test_paths_that_part_at_a_switch_never_meet_again(topology, size, data):
     count each pair once."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
-    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    switches, out_lines = path_table(net, perm.sources, perm.dests)
     same_switch = switches[:, None, :] == switches[None, :, :]
     same_line = out_lines[:, None, :] == out_lines[None, :, :]
     parted = same_switch & ~same_line
@@ -213,6 +214,95 @@ def test_roundtrip_format_parse(dests):
     net = build_network(8, Topology.OMEGA)
     perm = full_permutation(net, dests)
     assert parse_permutation(format_permutation(perm), net) == perm
+
+
+def reference_parse(text, size):
+    """The scalar parser: one line, then one message, at a time.  Returns
+    the (source, destination) pairs or raises as parse_permutation must."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise ParseError(f"expected 'SOURCE DESTINATION', got {stripped!r}", lineno)
+        try:
+            source, destination = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"non-integer field in {stripped!r}", lineno) from None
+        if not (0 <= source < size and 0 <= destination < size):
+            raise OutOfRangeError(f"line {lineno}: {source} {destination} outside [0, {size})")
+        pairs.append((source, destination))
+    seen = set()
+    for source, _ in pairs:
+        if source in seen:
+            raise DuplicateSourceError(f"source {source} listed twice")
+        seen.add(source)
+    if len(pairs) == size:
+        seen = set()
+        for _, destination in pairs:
+            if destination in seen:
+                raise DuplicateDestinationError(f"destination {destination} listed twice in a full permutation")
+            seen.add(destination)
+    return pairs
+
+
+@st.composite
+def permutation_texts(draw, size):
+    """Message lines, mostly in range, from a shuffle (a full map when
+    nothing is dropped) or from free draws, with whitespace, comments,
+    blank lines and malformed lines mixed in."""
+    inside = st.integers(0, size - 1)
+    endpoint = inside if draw(st.booleans()) else st.one_of(inside, st.integers(-2, size + 1), st.just(10**20))
+    if draw(st.booleans()):
+        sources = draw(st.permutations(range(size)))
+        dests = draw(st.one_of(st.permutations(range(size)), st.lists(endpoint, min_size=size, max_size=size)))
+    else:
+        sources = draw(st.lists(endpoint, max_size=size + 1))
+        dests = draw(st.lists(endpoint, min_size=len(sources), max_size=len(sources)))
+    space = st.sampled_from([" ", "  ", "\t"])
+    lines = [f"{draw(st.sampled_from(['', ' ']))}{s}{draw(space)}{d}" for s, d in zip(sources, dests)]
+    blank = st.sampled_from(["", "   ", "# comment", "  #x 1 2", "#"])
+    noise = st.one_of(
+        blank,
+        blank,
+        st.lists(inside.map(str), min_size=1, max_size=3).map(" ".join),
+        st.sampled_from(["1 x", "x 1", "1.5 2", "0x1 2", "1 2 # tail"]),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 8]), st.data())
+def test_parse_equals_scalar_reference(size, data):
+    """The array parser returns the reference's map, or raises what the
+    reference raises: same class, message and line number."""
+    net = build_network(size, Topology.OMEGA)
+    text = data.draw(permutation_texts(size))
+    try:
+        expected = reference_parse(text, size)
+    except SimulatorError as exc:
+        with pytest.raises(SimulatorError) as info:
+            parse_permutation(text, net)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "line_number", None) == getattr(exc, "line_number", None)
+    else:
+        perm = parse_permutation(text, net)
+        assert perm.pairs == tuple(Message(s, d) for s, d in expected)
+        assert perm.size == size
+
+
+def test_map_holds_read_only_arrays(omega8):
+    perm = full_permutation(omega8, SHOWCASE_DESTS)
+    assert perm.sources.tolist() == list(range(8)) and perm.dests.tolist() == list(SHOWCASE_DESTS)
+    assert not perm.sources.flags.writeable and not perm.dests.flags.writeable
+    rebuilt = make_permutation(perm.pairs, 8)
+    assert rebuilt == perm and hash(rebuilt) == hash(perm)
+    assert rebuilt != make_permutation(perm.pairs[:7], 8)
 
 
 def test_make_permutation_range_check():

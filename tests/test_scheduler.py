@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
@@ -23,6 +23,7 @@ from ominsim import (
     conflict_stages,
     full_permutation,
     make_permutation,
+    parse_permutation,
     path_table,
     schedule_exact,
     schedule_greedy,
@@ -32,7 +33,7 @@ from ominsim import (
 )
 from ominsim import scheduler
 
-from .conftest import conflict_pairs, degrees, draw_map
+from .conftest import SHOWCASE_DESTS, conflict_pairs, degrees, draw_map
 
 
 def exact_cfg(budget):
@@ -61,7 +62,7 @@ def test_welsh_powell_showcase(omega8, showcase):
 
 def test_greedy_single_message(omega4):
     perm = full_permutation(omega4, [0, 1, 2, 3])
-    single = type(perm)(pairs=perm.pairs[:1], size=4)
+    single = make_permutation(perm.pairs[:1], 4)
     assert single.partial and not perm.partial
     for budget in (0, 1, None):
         assert schedule_greedy(omega4, single, ScheduleConfig(budget=budget)).pass_count == 1
@@ -115,14 +116,27 @@ def test_validator_flags_middle_stage_budget_violations(omega8, showcase):
     assert validate_schedule(omega8, showcase, forced, ScheduleConfig(budget=1)).ok
 
 
-def test_validator_coverage_errors(omega8, showcase):
+@pytest.mark.parametrize(
+    "passes, error, message",
+    [
+        ([[0, 1, 2, 3, 4, 5, 6]], CoverageError, "messages [7] missing from the schedule"),
+        ([[0, 1], [], [1, 2, 3, 4, 5, 6, 7]], CoverageError, "message index 1 scheduled twice"),
+        ([[0, 99]], IndexOutOfRangeError, "message index 99 outside [0, 8)"),
+        ([[-1], [0, 1, 2, 3, 4, 5, 6, 7]], IndexOutOfRangeError, "message index -1 outside [0, 8)"),
+        # the first offender in pass order wins, whatever its kind
+        ([[0, 2], [2, 8]], CoverageError, "message index 2 scheduled twice"),
+        ([[0, 8], [2, 2]], IndexOutOfRangeError, "message index 8 outside [0, 8)"),
+        ([[3, 8, 3]], IndexOutOfRangeError, "message index 8 outside [0, 8)"),
+        ([[5], [1 << 70]], IndexOutOfRangeError, f"message index {1 << 70} outside [0, 8)"),
+        ([[1, 6], [], [4]], CoverageError, "messages [0, 2, 3, 5, 7] missing from the schedule"),
+        ([], CoverageError, "messages [0, 1, 2, 3, 4, 5, 6, 7] missing from the schedule"),
+    ],
+)
+def test_validator_coverage_errors(omega8, showcase, passes, error, message):
     cfg = ScheduleConfig(budget=0)
-    with pytest.raises(CoverageError):
-        validate_schedule(omega8, showcase, Schedule([[0, 1, 2, 3, 4, 5, 6]], cfg, []))
-    with pytest.raises(CoverageError):
-        validate_schedule(omega8, showcase, Schedule([[0, 1], [1, 2, 3, 4, 5, 6, 7]], cfg, []))
-    with pytest.raises(IndexOutOfRangeError):
-        validate_schedule(omega8, showcase, Schedule([[0, 99]], cfg, []))
+    with pytest.raises(error) as info:
+        validate_schedule(omega8, showcase, Schedule(passes, cfg, []))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _brute_force_chromatic(pairs, count):
@@ -226,6 +240,48 @@ def test_schedule_json_field_order(omega8, showcase):
     assert doc["budget"] == 0 and doc["violations"] == []
     unlimited = schedule_exact(omega8, showcase, exact_cfg(None))
     assert json.loads(schedule_json(omega8, showcase, unlimited))["budget"] == "unlimited"
+
+
+@settings(max_examples=100, deadline=None)
+@example(SHOWCASE_DESTS, [], 0, Algorithm.GREEDY_ORDER)
+@example(SHOWCASE_DESTS, [[]], None, Algorithm.EXACT)
+@example(SHOWCASE_DESTS, [[3], [], [0, 1]], 2, Algorithm.WELSH_POWELL)
+@given(
+    st.permutations(range(8)),
+    st.lists(st.lists(st.integers(0, 7), max_size=8), max_size=5),
+    st.sampled_from([0, 1, 2, None]),
+    st.sampled_from(list(Algorithm)),
+)
+def test_schedule_json_equals_indented_dumps(dests, passes, budget, algorithm):
+    """schedule_json writes the passes itself; its text must be that of
+    json.dumps(doc, indent=2) plus a newline."""
+    net = build_network(8, "baseline")
+    perm = full_permutation(net, dests)
+    config = ScheduleConfig(budget=budget, algorithm=algorithm)
+    doc = {
+        "size": 8,
+        "topology": "baseline",
+        "budget": "unlimited" if budget is None else budget,
+        "algorithm": algorithm.value,
+        "passes": [[perm.pairs[m].source for m in p] for p in passes],
+        "violations": [],
+    }
+    assert schedule_json(net, perm, Schedule(passes, config, [])) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_schedule_call_builds_no_messages(budget):
+    """Parse, greedy, validate and JSON read the map's arrays: the derived
+    `pairs` tuple is never built."""
+    net = build_network(512, "omega")
+    dests = random.Random(512).sample(range(512), 512)
+    perm = parse_permutation("".join(f"{s} {d}\n" for s, d in enumerate(dests)), net)
+    config = ScheduleConfig(budget=budget)
+    schedule = schedule_greedy(net, perm, config)
+    assert validate_schedule(net, perm, schedule, config).ok
+    schedule_json(net, perm, schedule)
+    assert "pairs" not in vars(perm)
+    assert perm.pairs[5] == Message(5, dests[5]) and "pairs" in vars(perm)
 
 
 def _all_pairs_validation(net, perm, passes, budget, paths=None):
@@ -419,7 +475,7 @@ def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypat
 def _masks_from_members(net, perm, state):
     """`taken` (budget 0) or `used` (budget ≥ 1) rebuilt from the path table
     and each pass's members, with the member leaving on each used line."""
-    switches, out_lines = path_table(net, [m.source for m in perm.pairs], perm.destinations())
+    switches, out_lines = path_table(net, perm.sources, perm.dests)
     half = net.size // 2
     taken = [0] * (half * net.stages)
     used = [0] * (net.size * net.stages)

@@ -53,7 +53,7 @@ def test_interconnect_is_bijection_per_stage(size, topology):
         assert image == set(range(size))
 
 
-@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("size", SIZES + [1 << 12])
 @pytest.mark.parametrize("topology", list(Topology))
 def test_wiring_table_is_read_only_interconnect(size, topology):
     net = build_network(size, topology)
