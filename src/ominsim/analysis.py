@@ -93,10 +93,6 @@ class ModeStats:
     stderr: float
     passability: float
 
-    @property
-    def label(self) -> str:
-        return mode_label(self.mode)
-
 
 @dataclass(frozen=True)
 class SimReport:

@@ -13,7 +13,15 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import Mode, TrafficModel, analytic_bandwidth, check_mode, monte_carlo, random_permutation_study
+from .analysis import (
+    Mode,
+    TrafficModel,
+    analytic_bandwidth,
+    check_mode,
+    mode_label,
+    monte_carlo,
+    random_permutation_study,
+)
 from .conflict import edges_csv, shared_pairs
 from .errors import ParseError, SimulatorError
 from .routing import parse_permutation, path_table, trace_path
@@ -82,7 +90,7 @@ def _cmd_route(args) -> int:
     perm = parse_permutation(_read_text(args.perm), net)
     lines = ["source,destination,stage,switch,in_port,out_port"]
     for msg in perm.pairs:
-        for hop in trace_path(net, msg).hops:
+        for hop in trace_path(net, msg):
             lines.append(
                 f"{msg.source},{msg.destination},{hop.stage},{hop.switch},{hop.in_port},{hop.out_port}"
             )
@@ -150,8 +158,8 @@ def _bandwidth_rows(args) -> list[dict]:
             modes = _parse_modes(args.crosstalk)
             report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
             results = [
-                (stat.label, args.trials, _jnum(stat.mean_matured), _jnum(stat.stderr), _jnum(stat.passability))
-                for stat in report.modes
+                (mode_label(s.mode), args.trials, _jnum(s.mean_matured), _jnum(s.stderr), _jnum(s.passability))
+                for s in report.modes
             ]
         for mode, trials, mean_bw, stderr, passability in results:
             rows.append(
@@ -184,8 +192,6 @@ def _cmd_bandwidth(args) -> int:
 def _cmd_simulate(args) -> int:
     net = build_network(args.size, parse_topology(args.topology))
     config = ScheduleConfig(budget=_parse_budget(args.budget), algorithm=Algorithm(args.algorithm))
-    if args.random_perms < 1:
-        raise ParseError(f"--random-perms must be >= 1, got {args.random_perms}")
     report = random_permutation_study(net, args.random_perms, args.seed, config)
     histogram = report.pass_histogram
     doc = {
@@ -199,7 +205,7 @@ def _cmd_simulate(args) -> int:
         "algorithm": config.algorithm.value,
         "modes": [
             {
-                "mode": stat.label,
+                "mode": mode_label(stat.mode),
                 "mean_matured": _jnum(stat.mean_matured),
                 "stderr": _jnum(stat.stderr),
                 "passability": _jnum(stat.passability),

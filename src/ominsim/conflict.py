@@ -11,8 +11,6 @@ recomputes them pass by pass.
 """
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import SameSourceError
@@ -20,13 +18,9 @@ from .routing import Message, trace_path
 from .topology import NetworkSpec
 
 
-class ConflictKind(Enum):
-    SWITCH_CROSSTALK = "crosstalk"
-    LINK_CONFLICT = "link"
-
-
-def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int, ConflictKind]]:
-    """Stages where the two traced paths share a switch, with the conflict kind.
+def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int, bool]]:
+    """Stages where the two traced paths share a switch, each with `link`:
+    whether they also share the out-line there, as in `shared_pairs`.
 
     A link conflict merges the two paths onto one line, so comparison stops
     there: whatever the traces do afterwards is an artifact of a collision
@@ -34,14 +28,14 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     """
     if a.source == b.source:
         raise SameSourceError(f"both messages start at source {a.source}")
-    found: list[tuple[int, ConflictKind]] = []
-    for ha, hb in zip(trace_path(net, a).hops, trace_path(net, b).hops):
+    found: list[tuple[int, bool]] = []
+    for ha, hb in zip(trace_path(net, a), trace_path(net, b)):
         if ha.switch != hb.switch:
             continue
-        if ha.out_port == hb.out_port:
-            found.append((ha.stage, ConflictKind.LINK_CONFLICT))
+        link = ha.out_port == hb.out_port
+        found.append((ha.stage, link))
+        if link:
             break
-        found.append((ha.stage, ConflictKind.SWITCH_CROSSTALK))
     return found
 
 
@@ -81,7 +75,7 @@ def shared_pairs(
 
 def edges_csv(a: np.ndarray, b: np.ndarray, stage: np.ndarray, link: np.ndarray) -> str:
     """The pairs of `shared_pairs` as CSV: indexA,indexB,stages,kinds, one
-    stage and its kind per pair."""
-    kinds = (ConflictKind.SWITCH_CROSSTALK.value, ConflictKind.LINK_CONFLICT.value)
+    stage per pair and its kind, `link` or `crosstalk`."""
+    kinds = ("crosstalk", "link")
     rows = zip(a.tolist(), b.tolist(), stage.tolist(), link.tolist())
     return "".join(["indexA,indexB,stages,kinds\n", *(f"{x},{y},{s},{kinds[l]}\n" for x, y, s, l in rows)])

@@ -32,21 +32,6 @@ class Hop:
     in_port: int
     out_port: int
 
-    @property
-    def out_line(self) -> int:
-        return (self.switch << 1) | self.out_port
-
-
-@dataclass(frozen=True)
-class Path:
-    hops: tuple[Hop, ...]
-
-    def switches(self) -> tuple[int, ...]:
-        return tuple(h.switch for h in self.hops)
-
-    def out_ports(self) -> tuple[int, ...]:
-        return tuple(h.out_port for h in self.hops)
-
 
 @dataclass(frozen=True, eq=False)
 class PermutationMap:
@@ -76,10 +61,6 @@ class PermutationMap:
         oracles (`trace_path` and its callers)."""
         return tuple(map(Message, self.sources.tolist(), self.dests.tolist()))
 
-    @property
-    def partial(self) -> bool:
-        return len(self.sources) < self.size
-
     def __len__(self) -> int:
         return len(self.sources)
 
@@ -94,9 +75,6 @@ class PermutationMap:
 
     def __hash__(self) -> int:
         return hash((self.pairs, self.size))
-
-    def destinations(self) -> tuple[int, ...]:
-        return tuple(self.dests.tolist())
 
 
 def int_array(values: Iterable[int]) -> np.ndarray:
@@ -170,8 +148,9 @@ def routing_bit(net: NetworkSpec, destination: int, stage: int) -> int:
     return (destination >> (net.stages - stage)) & 1
 
 
-def trace_path(net: NetworkSpec, msg: Message) -> Path:
-    """Follow a message line by line through every switch column."""
+def trace_path(net: NetworkSpec, msg: Message) -> tuple[Hop, ...]:
+    """Follow a message line by line through every switch column: one hop
+    per stage, in stage order."""
     if not (0 <= msg.source < net.size and 0 <= msg.destination < net.size):
         raise OutOfRangeError(f"endpoints of {msg.source}->{msg.destination} outside [0, {net.size})")
     hops = []
@@ -182,7 +161,7 @@ def trace_path(net: NetworkSpec, msg: Message) -> Path:
         out_port = routing_bit(net, msg.destination, stage)
         hops.append(Hop(stage=stage, switch=switch, in_port=in_port, out_port=out_port))
         line = (switch << 1) | out_port
-    return Path(hops=tuple(hops))
+    return tuple(hops)
 
 
 def switch_at_stage(net: NetworkSpec, msg: Message, stage: int) -> int:

@@ -111,7 +111,7 @@ class TestResolveSinglePass:
         for stage in range(net.stages):
             seen = set()
             for m in survivors:
-                switch = trace_path(net, perm.pairs[m]).switches()[stage]
+                switch = trace_path(net, perm.pairs[m])[stage].switch
                 assert switch not in seen
                 seen.add(switch)
 
@@ -191,7 +191,7 @@ class TestRandomPermutationStudy:
         with mock.patch.object(mc_kernel, "CHUNK_CELLS", cells):
             report = random_permutation_study(net, 40, 5, config)
         assert (report.trials, report.seed, report.load) == (40, 5, 1.0)
-        assert [stat.label for stat in report.modes] == ["allow", "budget=1", "free"]
+        assert [mode_label(stat.mode) for stat in report.modes] == ["allow", "budget=1", "free"]
         matured = {None: [], 1: [], 0: []}
         histogram = Counter()
         for t in range(40):
@@ -244,3 +244,6 @@ def test_stream_below_is_in_range():
     values = [s.below(12) for _ in range(200)]
     assert all(0 <= v < 12 for v in values)
     assert len(set(values)) > 1
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"^bound must be positive, got {bound}$"):
+            s.below(bound)

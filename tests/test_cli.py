@@ -144,8 +144,8 @@ def test_generate_random_permutation_contract():
     first = generate_random_permutation(8, substream(17, 0))
     again = generate_random_permutation(8, substream(17, 0))
     assert first == again
-    assert sorted(first.destinations()) == list(range(8))
-    assert not first.partial
+    assert sorted(first.dests.tolist()) == list(range(8))
+    assert len(first) == first.size
     with pytest.raises(NotPowerOfTwoError):
         generate_random_permutation(6, substream(17, 0))
 
@@ -172,6 +172,32 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --crosstalk must list at least one mode")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["schedule", "--size", "8", "--perm", "PERM", "--budget", "x"],
+            "error: budget must be an integer or 'unlimited', got 'x'\n",
+        ),
+        (
+            ["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", "budget=x"],
+            "error: bad crosstalk mode 'budget=x'\n",
+        ),
+        (
+            ["bandwidth", "--sizes", "8", "--mode", "simulate", "--trials", "0"],
+            "error: need at least one trial, got 0\n",
+        ),
+        (["simulate", "--size", "8", "--random-perms", "0"], "error: need at least one permutation, got 0\n"),
+    ],
+    ids=["schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms"],
+)
+def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
+    """Each count or budget has one check, in the library or the parser, and
+    its error is the only line written."""
+    assert run([perm_file if a == "PERM" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("load", [[], ["--load", "2"]], ids=["good-load", "bad-load"])

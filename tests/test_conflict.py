@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
-    ConflictKind,
     Message,
     SameSourceError,
     Topology,
@@ -25,11 +24,11 @@ from .conftest import as_rows, conflict_pairs, degrees, draw_map
 
 
 def test_conflict_examples(omega8, omega4):
-    assert conflict_stages(omega8, Message(0, 7), Message(4, 3)) == [(1, ConflictKind.SWITCH_CROSSTALK)]
+    assert conflict_stages(omega8, Message(0, 7), Message(4, 3)) == [(1, False)]
     assert conflict_stages(omega8, Message(0, 7), Message(1, 0)) == []
     # both want stage-1 switch 0 with routing bit 0: a hard line collision,
     # and the merged paths are not compared past it
-    assert conflict_stages(omega4, Message(0, 1), Message(2, 0)) == [(1, ConflictKind.LINK_CONFLICT)]
+    assert conflict_stages(omega4, Message(0, 1), Message(2, 0)) == [(1, True)]
 
 
 def test_same_source_rejected(omega8):
@@ -45,7 +44,7 @@ def test_showcase_graph_shape(omega8, showcase):
     assert not link.any()
     # every switch at every stage carries exactly two of the eight messages
     for stage in range(1, 4):
-        occupancy = Counter(trace_path(omega8, m).switches()[stage - 1] for m in showcase.pairs)
+        occupancy = Counter(trace_path(omega8, m)[stage - 1].switch for m in showcase.pairs)
         assert sorted(occupancy.values()) == [2, 2, 2, 2]
         assert (stages == stage).sum() == 4
 
@@ -81,9 +80,9 @@ def test_last_stage_conflicts_never_link_in_full_permutations(dests):
     net = build_network(8, Topology.OMEGA)
     perm = full_permutation(net, dests)
     for i, j in combinations(range(8), 2):
-        for stage, kind in conflict_stages(net, perm.pairs[i], perm.pairs[j]):
+        for stage, link in conflict_stages(net, perm.pairs[i], perm.pairs[j]):
             if stage == net.stages:
-                assert kind is ConflictKind.SWITCH_CROSSTALK
+                assert not link
 
 
 @settings(max_examples=60)
@@ -108,7 +107,7 @@ def test_graph_equals_all_pairs_oracle(topology, size, data):
     for a, b in combinations(range(len(perm.pairs)), 2):
         shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
         assert len(shared) <= 1
-        expected.extend((a, b, stage, kind is ConflictKind.LINK_CONFLICT) for stage, kind in shared)
+        expected.extend((a, b, stage, link) for stage, link in shared)
     assert as_rows(pairs) == expected
     found = degrees(pairs, len(perm.pairs))
     for v in range(len(perm.pairs)):
@@ -143,7 +142,7 @@ def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
         shared = conflict_stages(net, perm.pairs[a], perm.pairs[b])
         if shared:
             stages = ";".join(str(s) for s, _ in shared)
-            kinds = ";".join(k.value for _, k in shared)
+            kinds = ";".join("link" if link else "crosstalk" for _, link in shared)
             lines.append(f"{a},{b},{stages},{kinds}")
     assert edges_csv(*pairs) == "\n".join(lines) + "\n"
     assert len({len(x) for x in pairs}) == 1
