@@ -31,7 +31,7 @@ def main():
 
     net = build_network(8, args.topology)
     perm = full_permutation(net, SHOWCASE_DESTS)
-    print(f"network: N={net.size}, {net.stages} stages of {net.switches_per_stage} switches")
+    print(f"network: N={net.size}, {net.stages} stages of {net.size // 2} switches")
     print("permutation:", " ".join(f"{s}->{d}" for s, d in zip(perm.sources.tolist(), perm.dests.tolist())))
 
     a, b, stage, link = shared_pairs(*path_table(net, perm.sources, perm.dests))
@@ -44,11 +44,11 @@ def main():
         conf_exact = ScheduleConfig(budget=budget, algorithm=Algorithm.EXACT)
         exact = schedule_exact(net, perm, conf_exact)
         greedy = schedule_greedy(net, perm, ScheduleConfig(budget=budget))
-        assert validate_schedule(net, perm, exact, conf_exact).ok
+        assert not validate_schedule(net, perm, exact, conf_exact).violations
         label = "unlimited" if budget is None else f"k={budget}"
         print(f"\nbudget {label}:")
-        print(f"  exact  : {exact.pass_count} passes {exact.passes}")
-        print(f"  greedy : {greedy.pass_count} passes {greedy.passes}")
+        print(f"  exact  : {len(exact.passes)} passes {exact.passes}")
+        print(f"  greedy : {len(greedy.passes)} passes {greedy.passes}")
 
     print("\nsingle-pass maturation (lowest source wins):")
     for mode in (None, 1, 0):

@@ -39,8 +39,9 @@ Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budg
 
 
 def check_mode(mode: Mode) -> Mode:
-    """A mode is allow (None) or a budget >= 0; resolve_batch does not
-    check, and at -1 it would drop every contested message."""
+    """A mode is allow (None) or a budget >= 0.  Returns the mode, so that a
+    list is checked as it is passed on: resolve_batch takes modes unchecked,
+    and at -1 it would drop every contested message."""
     if mode is not None and mode < 0:
         raise OutOfRangeError(f"crosstalk budget must be >= 0, got {mode}")
     return mode
@@ -78,12 +79,8 @@ class BandwidthCurve:
     stage_probabilities: tuple[float, ...]
 
     @property
-    def final_probability(self) -> float:
-        return self.stage_probabilities[-1]
-
-    @property
     def bandwidth(self) -> float:
-        return self.final_probability * self.size
+        return self.stage_probabilities[-1] * self.size
 
 
 @dataclass(frozen=True)
@@ -251,12 +248,7 @@ def monte_carlo(
     if trials < 1:
         raise ZeroTrialsError(f"need at least one trial, got {trials}")
     check_seed(seed)
-    wanted: list[Mode] = []
-    for m in modes:
-        check_mode(m)
-        if m not in wanted:
-            wanted.append(m)
-    budgets = [m for m in wanted if m is not None]
+    wanted = list(dict.fromkeys(map(check_mode, modes)))
     perm = traffic.permutation
     perm_dests = None if perm is None else permutation_dests(net, perm)
     matured: dict[Mode, list] = {m: [] for m in wanted}
@@ -266,7 +258,7 @@ def monte_carlo(
         count = min(chunk, trials - first)
         dests = sample_requests(net, traffic.load, perm_dests, seed, first, count)
         offered += int(np.count_nonzero(dests >= 0))
-        survivors = resolve_batch(net, dests, budgets)
+        survivors = resolve_batch(net, dests, wanted)
         for m in wanted:
             matured[m].append(survivors[m].sum(axis=1))
     stats = [_mode_stats(m, np.concatenate(matured[m]), offered) for m in wanted]
@@ -312,10 +304,7 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     """
     if trials < 1:
         raise ZeroTrialsError(f"need at least one permutation, got {trials}")
-    modes: list[Mode] = [None]
-    if config.budget not in (None, 0):
-        modes.append(config.budget)
-    modes.append(0)
+    modes = list(dict.fromkeys([None, config.budget, 0]))
     solve = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
     matured: dict[Mode, list] = {m: [] for m in modes}
     histogram: dict[int, int] = {}
@@ -323,11 +312,11 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     for first in range(0, trials, chunk):
         stop = min(first + chunk, trials)
         perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
-        survivors = resolve_batch(net, np.stack([perm.dests for perm in perms]), modes[1:])
+        survivors = resolve_batch(net, np.stack([perm.dests for perm in perms]), modes)
         for m in modes:
             matured[m].append(survivors[m].sum(axis=1))
         for perm in perms:
-            passes = solve(net, perm, config).pass_count
+            passes = len(solve(net, perm, config).passes)
             histogram[passes] = histogram.get(passes, 0) + 1
     return SimReport(
         size=net.size,

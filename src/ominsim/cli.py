@@ -34,7 +34,7 @@ from .scheduler import (
     validate_schedule,
 )
 from .streams import check_seed
-from .topology import build_network, parse_topology
+from .topology import build_network
 
 
 def _fmt(x: float) -> str:
@@ -56,8 +56,11 @@ def _read_text(path: str) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _parse_budget(token: str) -> int | None:
@@ -86,7 +89,7 @@ def _parse_mode(token: str) -> Mode:
 
 
 def _cmd_route(args) -> int:
-    net = build_network(args.size, parse_topology(args.topology))
+    net = build_network(args.size, args.topology)
     perm = parse_permutation(_read_text(args.perm), net)
     lines = ["source,destination,stage,switch,in_port,out_port"]
     for msg in perm.pairs:
@@ -99,14 +102,14 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_conflicts(args) -> int:
-    net = build_network(args.size, parse_topology(args.topology))
+    net = build_network(args.size, args.topology)
     perm = parse_permutation(_read_text(args.perm), net)
     _emit(edges_csv(*shared_pairs(*path_table(net, perm.sources, perm.dests))), args.output)
     return 0
 
 
 def _cmd_schedule(args) -> int:
-    net = build_network(args.size, parse_topology(args.topology))
+    net = build_network(args.size, args.topology)
     perm = parse_permutation(_read_text(args.perm), net)
     config = ScheduleConfig(
         budget=_parse_budget(args.budget),
@@ -117,11 +120,11 @@ def _cmd_schedule(args) -> int:
     else:
         schedule = schedule_greedy(net, perm, config)
     report = validate_schedule(net, perm, schedule, config)
-    if not report.ok:
+    if report.violations:
         print(f"internal error: emitted schedule has {len(report.violations)} violations", file=sys.stderr)
         return 1
     _emit(schedule_json(net, perm, schedule), args.output)
-    print(f"passes: {schedule.pass_count}")
+    print(f"passes: {len(schedule.passes)}")
     return 0
 
 
@@ -147,12 +150,12 @@ def _bandwidth_rows(args) -> list[dict]:
     check_seed(args.seed)
     rows: list[dict] = []
     for size in sizes:
-        net = build_network(size, parse_topology(args.topology))
+        net = build_network(size, args.topology)
         # (mode, trials, mean_bw, stderr, passability) per row; the analytic
         # row keeps integer trials and stderr
         if args.mode == "analytic":
             curve = analytic_bandwidth(net.stages, args.load)
-            passability = _jnum(curve.final_probability / args.load) if args.load else 0.0
+            passability = _jnum(curve.stage_probabilities[-1] / args.load) if args.load else 0.0
             results = [("analytic", 0, _jnum(curve.bandwidth), 0, passability)]
         else:
             modes = _parse_modes(args.crosstalk)
@@ -190,7 +193,7 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    net = build_network(args.size, parse_topology(args.topology))
+    net = build_network(args.size, args.topology)
     config = ScheduleConfig(budget=_parse_budget(args.budget), algorithm=Algorithm(args.algorithm))
     report = random_permutation_study(net, args.random_perms, args.seed, config)
     histogram = report.pass_histogram
@@ -229,11 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, perm=True):
+    def common(p):
         p.add_argument("--size", type=int, required=True, help="network size (power of two >= 4)")
         p.add_argument("--topology", default="omega", help="omega or baseline")
-        if perm:
-            p.add_argument("--perm", required=True, help="permutation file (SOURCE DESTINATION lines)")
+        p.add_argument("--perm", required=True, help="permutation file (SOURCE DESTINATION lines)")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("route", help="per-message hop table")

@@ -184,21 +184,24 @@ def _budget_sweep(
     return alive
 
 
-def resolve_batch(net: NetworkSpec, dests: np.ndarray, budgets: Sequence[int] = ()) -> dict[int | None, np.ndarray]:
+def resolve_batch(
+    net: NetworkSpec, dests: np.ndarray, modes: Sequence[int | None] = ()
+) -> dict[int | None, np.ndarray]:
     """resolve_single_pass for many trials at once.
 
     dests is a (trials, N) array of each source's destination, -1 where the
-    source is idle.  Returns (trials, N) boolean survivor masks by source,
-    keyed like resolve_single_pass: None for allow plus every budget, each
-    budget pruning the survivors of the next larger one.  Budgets must be
-    >= 0.
+    source is idle.  modes are taken as the caller holds them: None (allow)
+    and repeats may appear, and every budget must be >= 0.  Returns
+    (trials, N) boolean survivor masks by source, keyed by None plus every
+    requested mode; the distinct budgets run largest first, each pruning the
+    survivors of the next larger one.
     """
     trials, size = dests.shape
     alive, entering = _allow_sweep(net, dests)
     entering += (np.arange(trials) * (size + 1))[:, None]
     result = {None: alive[:, :size]}
     flat = alive.reshape(-1)
-    chain = sorted(set(budgets), reverse=True)
+    chain = sorted({m for m in modes if m is not None}, reverse=True)
     if chain:
         # Every budget sweep works on a subset of the allow survivors, so all
         # of them read the switches where two allow survivors meet.

@@ -74,7 +74,7 @@ class PermutationMap:
         )
 
     def __hash__(self) -> int:
-        return hash((self.pairs, self.size))
+        return hash((self.size, self.sources.tobytes(), self.dests.tobytes()))
 
 
 def int_array(values: Iterable[int]) -> np.ndarray:

@@ -47,10 +47,6 @@ class Schedule:
     config: ScheduleConfig
     shared_counts: list[dict[int, int]]  # per pass: message -> shared-stage count
 
-    @property
-    def pass_count(self) -> int:
-        return len(self.passes)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -64,10 +60,6 @@ class Violation:
 class ValidationReport:
     violations: list[Violation]
     semi_permutation_passes: list[bool]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 class _Pass(NamedTuple):

@@ -28,10 +28,6 @@ class NetworkSpec:
     stages: int
     topology: Topology
 
-    @property
-    def switches_per_stage(self) -> int:
-        return self.size // 2
-
 
 def parse_topology(name: str) -> Topology:
     try:

@@ -199,7 +199,7 @@ class TestRandomPermutationStudy:
             survivors = resolve_single_pass(net, perm.pairs, budgets=[1, 0])
             for mode, values in matured.items():
                 values.append(len(survivors[mode]))
-            histogram[solve(net, perm, config).pass_count] += 1
+            histogram[len(solve(net, perm, config).passes)] += 1
         assert report.pass_histogram == dict(sorted(histogram.items()))
         for stat in report.modes:
             values = matured[stat.mode]

@@ -140,6 +140,29 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["nope"]) == 2
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schedule", "--size", "8", "--perm", "PERM"],
+        ["bandwidth", "--sizes", "8"],
+        ["simulate", "--size", "8", "--random-perms", "2"],
+        ["route", "--size", "8", "--perm", "PERM"],
+        ["conflicts", "--size", "8", "--perm", "PERM"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_2(argv, target, perm_file, tmp_path, capsys):
+    """A report that cannot be written is a bad file, like one that cannot be
+    read: exit 2, one error line naming the path, nothing on stdout."""
+    output = str(tmp_path / "absent" / "out.txt") if target == "missing-dir" else str(tmp_path)
+    assert run([perm_file if a == "PERM" else a for a in argv] + ["--output", output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1
+
+
 def test_generate_random_permutation_contract():
     first = generate_random_permutation(8, substream(17, 0))
     again = generate_random_permutation(8, substream(17, 0))

@@ -155,18 +155,41 @@ def test_lower_switch_drop_flips_higher_switch_decision():
     assert np.flatnonzero(kernel[0]).tolist() == [1, 2, 3, 4]
 
 
+
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+def test_batch_takes_modes_as_held(topology):
+    """None and repeats may appear among the modes: the masks are those of
+    the distinct budgets, keyed by None plus every mode asked for."""
+    net = build_network(16, topology)
+    dests = sample_requests(net, 1.0, None, 7, 0, 50)
+    held = resolve_batch(net, dests, [None, 0, 1, 0])
+    plain = resolve_batch(net, dests, [1, 0])
+    assert held.keys() == plain.keys() == {None, 0, 1}
+    for mode, alive in plain.items():
+        assert np.array_equal(held[mode], alive)
+
+
+def test_monte_carlo_rows_in_first_seen_order(omega8):
+    """Repeated and reordered modes give one row per distinct mode, in the
+    order first asked for, with the statistics of the distinct request."""
+    traffic = TrafficModel(load=0.8)
+    repeated = monte_carlo(omega8, traffic, [0, None, 0, 1], trials=40, seed=9)
+    distinct = {s.mode: s for s in monte_carlo(omega8, traffic, [None, 1, 0], trials=40, seed=9).modes}
+    assert [s.mode for s in repeated.modes] == [0, None, 1]
+    assert list(repeated.modes) == [distinct[0], distinct[None], distinct[1]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data(), networks(sizes=(8, 16, 32)), chains)
 def test_survivors_pass_validate_schedule_as_one_pass(data, net, modes):
     """Survivors of mode k form one valid pass at budget k (allow: unlimited)."""
     dests = data.draw(st.permutations(range(net.size)))
     perm = full_permutation(net, dests)
-    budgets = [m for m in modes if m is not None]
-    for mode, alive in resolve_batch(net, np.array([dests]), budgets).items():
+    for mode, alive in resolve_batch(net, np.array([dests]), modes).items():
         members = make_permutation([perm.pairs[s] for s in np.flatnonzero(alive[0])], net.size)
         config = ScheduleConfig(budget=mode)
         report = validate_schedule(net, members, Schedule([list(range(len(members)))], config, []))
-        assert report.ok, (mode, report.violations)
+        assert not report.violations, (mode, report.violations)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

@@ -309,6 +309,20 @@ def test_map_holds_read_only_arrays(omega8):
     assert perm.__eq__(object()) is NotImplemented and perm != object()
 
 
+
+@pytest.mark.parametrize("dests", [SHOWCASE_DESTS, (1, 1, 6)], ids=["full", "partial"])
+def test_hash_reads_the_arrays(omega8, dests):
+    """Equal maps hash equal however they were built, and hashing builds no
+    Message records."""
+    pairs = [Message(s, d) for s, d in enumerate(dests)]
+    text = "".join(f"{s} {d}\n" for s, d in enumerate(dests))
+    maps = [parse_permutation(text, omega8), make_permutation(pairs, 8)]
+    if len(dests) == 8:
+        maps.append(full_permutation(omega8, dests))
+    assert len({hash(perm) for perm in maps}) == 1
+    assert all("pairs" not in vars(perm) for perm in maps)
+
+
 def test_make_permutation_range_check():
     with pytest.raises(OutOfRangeError):
         make_permutation([Message(0, 4)], 4)

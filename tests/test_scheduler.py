@@ -42,7 +42,7 @@ def exact_cfg(budget):
 def test_greedy_showcase_k0(omega8, showcase):
     schedule = schedule_greedy(omega8, showcase, ScheduleConfig(budget=0))
     assert schedule.passes == [[0, 1, 7], [2, 3, 5], [4], [6]]
-    assert validate_schedule(omega8, showcase, schedule).ok
+    assert not validate_schedule(omega8, showcase, schedule).violations
 
 
 def test_greedy_showcase_k1_matches_half_split(omega8, showcase):
@@ -64,14 +64,14 @@ def test_greedy_single_message(omega4):
     single = make_permutation(perm.pairs[:1], 4)
     assert len(single) < single.size and len(perm) == perm.size
     for budget in (0, 1, None):
-        assert schedule_greedy(omega4, single, ScheduleConfig(budget=budget)).pass_count == 1
+        assert len(schedule_greedy(omega4, single, ScheduleConfig(budget=budget)).passes) == 1
 
 
 def test_exact_showcase_k0(omega8, showcase):
     schedule = schedule_exact(omega8, showcase, exact_cfg(0))
     assert schedule.passes == [[0, 1, 7], [2, 4, 5], [3, 6]]
     report = validate_schedule(omega8, showcase, schedule)
-    assert report.ok
+    assert not report.violations
     assert report.semi_permutation_passes == [True, True, True]
 
 
@@ -83,7 +83,7 @@ def test_exact_showcase_k1(omega8, showcase):
 
 def test_exact_showcase_unlimited(omega8, showcase):
     schedule = schedule_exact(omega8, showcase, exact_cfg(None))
-    assert schedule.pass_count == 1
+    assert len(schedule.passes) == 1
 
 
 def test_exact_identity_two_passes(omega4):
@@ -112,7 +112,7 @@ def test_validator_flags_middle_stage_budget_violations(omega8, showcase):
     assert all(v.stages == (2,) for v in budget_violations)
     assert not [v for v in report.violations if v.kind == "link"]
     # the same split is clean under budget 1
-    assert validate_schedule(omega8, showcase, forced, ScheduleConfig(budget=1)).ok
+    assert not validate_schedule(omega8, showcase, forced, ScheduleConfig(budget=1)).violations
 
 
 @pytest.mark.parametrize(
@@ -165,7 +165,7 @@ def test_exact_k0_equals_brute_force_chromatic_number(dests):
     net = build_network(8, Topology.OMEGA)
     perm = full_permutation(net, dests)
     schedule = schedule_exact(net, perm, exact_cfg(0))
-    assert schedule.pass_count == _brute_force_chromatic(conflict_pairs(net, perm), 8)
+    assert len(schedule.passes) == _brute_force_chromatic(conflict_pairs(net, perm), 8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,7 +173,7 @@ def test_exact_k0_equals_brute_force_chromatic_number(dests):
 def test_exact_pass_count_dominance_over_budgets(dests):
     net = build_network(8, Topology.OMEGA)
     perm = full_permutation(net, dests)
-    counts = [schedule_exact(net, perm, exact_cfg(k)).pass_count for k in (0, 1, 2, None)]
+    counts = [len(schedule_exact(net, perm, exact_cfg(k)).passes) for k in (0, 1, 2, None)]
     assert counts[0] >= counts[1] >= counts[2] >= counts[3]
 
 
@@ -186,10 +186,10 @@ def test_greedy_schedules_always_validate(size, data):
     algorithm = data.draw(st.sampled_from([Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL]))
     config = ScheduleConfig(budget=budget, algorithm=algorithm)
     schedule = schedule_greedy(net, perm, config)
-    assert validate_schedule(net, perm, schedule, config).ok
+    assert not validate_schedule(net, perm, schedule, config).violations
     if budget == 0:
-        assert schedule.pass_count >= 2
-        assert schedule.pass_count <= degrees(conflict_pairs(net, perm), size).max() + 1
+        assert len(schedule.passes) >= 2
+        assert len(schedule.passes) <= degrees(conflict_pairs(net, perm), size).max() + 1
 
 
 def test_source_pair_decomposition_is_crosstalk_free(omega8, showcase):
@@ -201,9 +201,9 @@ def test_source_pair_decomposition_is_crosstalk_free(omega8, showcase):
         shared_counts=[],
     )
     report = validate_schedule(omega8, showcase, forced)
-    assert report.ok
+    assert not report.violations
     assert report.semi_permutation_passes == [True] * 4
-    assert schedule_exact(omega8, showcase, exact_cfg(0)).pass_count == 3
+    assert len(schedule_exact(omega8, showcase, exact_cfg(0)).passes) == 3
 
 
 def test_greedy_rejects_exact_algorithm(omega8, showcase):
@@ -277,7 +277,7 @@ def test_schedule_call_builds_no_messages(budget):
     perm = parse_permutation("".join(f"{s} {d}\n" for s, d in enumerate(dests)), net)
     config = ScheduleConfig(budget=budget)
     schedule = schedule_greedy(net, perm, config)
-    assert validate_schedule(net, perm, schedule, config).ok
+    assert not validate_schedule(net, perm, schedule, config).violations
     schedule_json(net, perm, schedule)
     assert "pairs" not in vars(perm)
     assert perm.pairs[5] == Message(5, dests[5]) and "pairs" in vars(perm)
@@ -332,7 +332,7 @@ def test_validator_equals_all_pairs_oracle(topology, size, data):
 def test_empty_pass_is_a_semi_permutation(omega8, showcase):
     passes = [[0, 1], [], [2, 3], [4, 5], [6, 7]]
     report = validate_schedule(omega8, showcase, Schedule(passes, ScheduleConfig(budget=0), []))
-    assert report.ok
+    assert not report.violations
     assert report.semi_permutation_passes == [True] * 5
 
 
@@ -342,7 +342,7 @@ def test_empty_map_schedules_to_no_passes(omega8):
         scheduler = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
         schedule = scheduler(omega8, empty, config)
         assert schedule.passes == [] and schedule.shared_counts == []
-        assert validate_schedule(omega8, empty, schedule).ok
+        assert not validate_schedule(omega8, empty, schedule).violations
 
 
 def _first_fit_reference(net, perm, config):
@@ -468,7 +468,7 @@ def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypat
         calls.clear()
     monkeypatch.undo()
     for schedule in schedules:
-        assert validate_schedule(omega8, showcase, schedule).ok
+        assert not validate_schedule(omega8, showcase, schedule).violations
 
 
 def _masks_from_members(net, perm, state):
@@ -553,5 +553,5 @@ def test_exact_starts_at_the_lower_bound():
     for budget in (0, 1, None):
         assert scheduler._Occupancy(net, perm, budget).lower_bound() == 7
         schedule = schedule_exact(net, perm, exact_cfg(budget))
-        assert schedule.pass_count == 7
-        assert validate_schedule(net, perm, schedule).ok
+        assert len(schedule.passes) == 7
+        assert not validate_schedule(net, perm, schedule).violations
