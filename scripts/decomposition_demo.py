@@ -34,7 +34,7 @@ def main():
     print(f"network: N={net.size}, {net.stages} stages of {net.size // 2} switches")
     print("permutation:", " ".join(f"{s}->{d}" for s, d in zip(perm.sources.tolist(), perm.dests.tolist())))
 
-    a, b, stage, link = shared_pairs(*path_table(net, perm.sources, perm.dests))
+    a, b, stage, link = shared_pairs(path_table(net, perm.sources, perm.dests))
     degree = np.bincount(np.r_[a, b], minlength=len(perm))
     print(f"\nconflict graph: {a.size} edges, max degree {degree.max()}")
     for x, y, s, is_link in zip(a.tolist(), b.tolist(), stage.tolist(), link.tolist()):

@@ -141,12 +141,13 @@ def _allow_sweep(requests: Sequence[Message], outlines: list[list[int]], stages:
 
 def _budget_sweep(
     requests: Sequence[Message],
-    switches: list[list[int]],
+    outlines: list[list[int]],
     stages: int,
     start: set[int],
     budget: int,
 ) -> set[int]:
-    """Stage-by-stage enforcement of a shared-stage budget.
+    """Stage-by-stage enforcement of a shared-stage budget, grouping the
+    survivors by switch (out-line >> 1).
 
     At each contested switch the share is tolerated while every occupant
     stays within budget; otherwise the occupant with the largest excess is
@@ -169,7 +170,7 @@ def _budget_sweep(
     for stage in range(stages):
         groups: dict[int, list[int]] = {}
         for m in sorted(alive):
-            groups.setdefault(switches[m][stage], []).append(m)
+            groups.setdefault(outlines[m][stage] >> 1, []).append(m)
         for switch in sorted(groups):
             group = sorted(groups[switch], key=lambda m: requests[m].source)
             while True:
@@ -208,12 +209,11 @@ def resolve_single_pass(
         seen.add(msg.source)
     for budget in budgets:
         check_mode(budget)
-    switches, outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests])
-    switches, outlines = switches.tolist(), outlines.tolist()
+    outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests]).tolist()
     alive = _allow_sweep(requests, outlines, net.stages)
     result: dict[Mode, set[int]] = {None: set(alive)}
     for budget in sorted(set(budgets), reverse=True):
-        alive = _budget_sweep(requests, switches, net.stages, alive, budget)
+        alive = _budget_sweep(requests, outlines, net.stages, alive, budget)
         result[budget] = set(alive)
     return result
 

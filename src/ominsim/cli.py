@@ -104,7 +104,7 @@ def _cmd_route(args) -> int:
 def _cmd_conflicts(args) -> int:
     net = build_network(args.size, args.topology)
     perm = parse_permutation(_read_text(args.perm), net)
-    _emit(edges_csv(*shared_pairs(*path_table(net, perm.sources, perm.dests))), args.output)
+    _emit(edges_csv(*shared_pairs(path_table(net, perm.sources, perm.dests))), args.output)
     return 0
 
 
@@ -148,6 +148,7 @@ def _parse_modes(text: str) -> list[Mode]:
 def _bandwidth_rows(args) -> list[dict]:
     sizes = _parse_sizes(args.sizes)
     check_seed(args.seed)
+    modes = _parse_modes(args.crosstalk)
     rows: list[dict] = []
     for size in sizes:
         net = build_network(size, args.topology)
@@ -158,7 +159,6 @@ def _bandwidth_rows(args) -> list[dict]:
             passability = _jnum(curve.stage_probabilities[-1] / args.load) if args.load else 0.0
             results = [("analytic", 0, _jnum(curve.bandwidth), 0, passability)]
         else:
-            modes = _parse_modes(args.crosstalk)
             report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
             results = [
                 (mode_label(s.mode), args.trials, _jnum(s.mean_matured), _jnum(s.stderr), _jnum(s.passability))

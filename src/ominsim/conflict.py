@@ -4,10 +4,12 @@ and the shared-switch pair finder over a path table.
 Two messages conflict at a stage when their paths occupy the same switching
 element there.  Sharing only the switch degrades both signals (crosstalk);
 also sharing the output port means both need the same inter-stage line,
-which no amount of tolerated crosstalk can fix.  The pairs `shared_pairs`
-finds are the edges of the conflict graph: the `conflicts` CSV lists them,
-Welsh-Powell orders messages by their degree in it, and the validator
-recomputes them pass by pass.
+which no amount of tolerated crosstalk can fix.  An out-line answers both,
+as its switch is `line >> 1`, so a path table of out-lines is all the pair
+finder reads.  The pairs `shared_pairs` finds are the edges of the
+conflict graph: the `conflicts` CSV lists them, Welsh-Powell orders
+messages by their degree in it, and the validator recomputes them pass by
+pass.
 """
 from __future__ import annotations
 
@@ -39,13 +41,13 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     return found
 
 
-def shared_pairs(
-    switches: np.ndarray, out_lines: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of rows of a path table that meets at a switch, as four
-    arrays a, b, stage, link with one entry per pair: rows a < b in
-    lexicographic (a, b) order, the 1-based stage at which they meet, and
-    whether they also share the out-line there.
+def shared_pairs(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of rows of a path table of out-lines that meets at a
+    switch (out-line >> 1), as four arrays a, b, stage, link with one entry
+    per pair: rows a < b in lexicographic (a, b) order, the 1-based stage at
+    which they meet, and whether they also share the out-line there.  Only
+    equality within a column counts, so adding an even number to a whole
+    column changes nothing.
 
     Each output has one path from each input, so two paths that leave a
     switch on different out-lines never meet again, and two that leave it
@@ -56,7 +58,8 @@ def shared_pairs(
     a bucket of any size yields all its pairs.  A meeting is kept only where
     the two rows sat on different switches one stage earlier.
     """
-    count, stages = switches.shape
+    count, stages = lines.shape
+    switches = lines >> 1
     order = np.argsort(switches, axis=0, kind="stable")
     ordered = np.take_along_axis(switches, order, axis=0)
     keys = [np.empty(0, dtype=np.intp)]
@@ -70,7 +73,7 @@ def shared_pairs(
         keys.append((a[first] * count + b[first]) * stages + cols[first])
     pair, k = np.divmod(np.sort(np.concatenate(keys)), stages)
     a, b = np.divmod(pair, count)
-    return a, b, k + 1, out_lines[a, k] == out_lines[b, k]
+    return a, b, k + 1, lines[a, k] == lines[b, k]
 
 
 def edges_csv(a: np.ndarray, b: np.ndarray, stage: np.ndarray, link: np.ndarray) -> str:

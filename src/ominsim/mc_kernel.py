@@ -205,11 +205,12 @@ def resolve_batch(
     if chain:
         # Every budget sweep works on a subset of the allow survivors, so all
         # of them read the switches where two allow survivors meet.
-        # Row r of `switches` is switch r % (N/2) of stage r // (trials * N/2).
-        switches = entering.reshape(-1, 2)
-        both = flat[switches]
+        # Row r of `inputs` holds the two lines entering switch r % (N/2) of
+        # stage r // (trials * N/2).
+        inputs = entering.reshape(-1, 2)
+        both = flat[inputs]
         contested = np.flatnonzero(both[:, 0] & both[:, 1])
-        a, b = switches[contested].T
+        a, b = inputs[contested].T
         bounds = np.searchsorted(contested, np.arange(net.stages + 1) * (trials * size // 2))
         switch = contested % (size // 2)
         pairs = [(a[i:j], b[i:j], switch[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]

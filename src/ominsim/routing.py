@@ -183,25 +183,22 @@ def switch_at_stage(net: NetworkSpec, msg: Message, stage: int) -> int:
     return (window >> (n - stage)) & half
 
 
-def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Switch and out-line of every message at every stage, as two (M, n)
-    integer arrays, found by walking the wiring table.  Row i follows
-    sources[i] -> dests[i]; entry [i, k - 1] belongs to stage k."""
+def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -> np.ndarray:
+    """Out-line of every message at every stage, as an (M, n) integer array
+    found by walking the wiring table; the switch is the out-line >> 1.
+    Row i follows sources[i] -> dests[i]; entry [i, k - 1] belongs to stage k."""
     sources = np.asarray(sources, dtype=np.intp)
     dests = np.asarray(dests, dtype=np.intp)
     i = first_outside(net.size, sources, dests)
     if i < sources.size:
         raise OutOfRangeError(f"endpoints of {sources[i]}->{dests[i]} outside [0, {net.size})")
     n = net.stages
-    switches = np.empty((sources.size, n), dtype=np.intp)
-    out_lines = np.empty_like(switches)
+    lines = np.empty((sources.size, n), dtype=np.intp)
     line = sources
     for k, row in enumerate(wiring(net)):
-        line = row[line]
-        switches[:, k] = line >> 1
-        line = (line & ~1) | ((dests >> (n - 1 - k)) & 1)
-        out_lines[:, k] = line
-    return switches, out_lines
+        line = (row[line] & ~1) | ((dests >> (n - 1 - k)) & 1)
+        lines[:, k] = line
+    return lines
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:

@@ -63,13 +63,13 @@ class ValidationReport:
 
 
 class _Pass(NamedTuple):
-    """One pass under construction: each member's shared-stage count and, at
-    budget ≥ 1 only, the member leaving each (stage, out-line), indexed
-    k·N + line for stage k + 1.  An entry is read only while the pass's bit
-    in `_Occupancy.used` is set for its line."""
+    """One pass under construction: each member's shared-stage count and the
+    member holding each key of `_Occupancy.keys`.  An entry is read only at
+    budget ≥ 1, where a key is a (stage, out-line), and only while the
+    pass's bit in `_Occupancy.used` is set for it."""
 
     shared: dict[int, int]
-    member: list[int] | None
+    member: list[int]
 
 
 class _Occupancy:
@@ -77,15 +77,16 @@ class _Occupancy:
 
     A pass is legal exactly when no two members share an out-line and no
     member shares more than `budget` stages.  Passes are bits of integer
-    masks.  At budget 0, where any shared switch is one too many, each
-    (stage, switch) cell has one in `taken`, whose bit i is set when a
-    member of pass i holds the cell.  At budget ≥ 1 each (stage, out-line)
-    has one in `used`, whose bit i is set when a member of pass i leaves
-    that stage on that line, and a cell's mask is the OR of its two
-    out-lines'.  OR-ing a message's masks gives the passes it would share a
-    switch in and those it would share a line in, which it cannot join.
-    The lowest pass it shares no switch in always takes it, so only the
-    unblocked passes below that one need a closer look.
+    masks, one mask in `used` per key, with bit i set when a member of pass
+    i holds that key.  `lines` numbers each (stage, out-line) k·N + line for
+    stage k + 1, and its half, k·N/2 + switch, numbers each (stage, switch).
+    At budget 0, where any shared switch is one too many, a message's keys
+    are its switches; at budget ≥ 1 they are its out-lines, and a switch's
+    mask is the OR of its two out-lines'.  OR-ing a message's masks gives
+    the passes it would share a switch in and those it would share a line
+    in, which it cannot join.  The lowest pass it shares no switch in
+    always takes it, so only the unblocked passes below that one need a
+    closer look.
 
     In a pass a message shares no line in, each switch it would share holds
     exactly one member, the one leaving on the other out-line: a second
@@ -97,32 +98,24 @@ class _Occupancy:
     """
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
-        self.net = net
-        self.table = path_table(net, perm.sources, perm.dests)
-        switches, out_lines = self.table
-        stages = np.arange(net.stages)
+        self.lines = path_table(net, perm.sources, perm.dests) + net.size * np.arange(net.stages)
         # no message has more than net.stages stages to share
         self.budget = net.stages if budget is None else budget
-        if self.budget:
-            self.lines = (out_lines + net.size * stages).tolist()
-            self.used = [0] * (net.size * net.stages)
-        else:
-            self.cells = (switches + net.size // 2 * stages).tolist()
-            self.taken = [0] * (net.size // 2 * net.stages)
+        self.keys = (self.lines if self.budget else self.lines >> 1).tolist()
+        self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
         self.passes: list[_Pass] = []
 
     def masks(self, m: int) -> tuple[int, int]:
         """The passes m would share a switch in, and the passes it cannot
         join because it would share a line in them (any switch, at budget 0)."""
-        if not self.budget:
-            taken = self.taken
-            occupied = 0
-            for cell in self.cells[m]:
-                occupied |= taken[cell]
-            return occupied, occupied
         used = self.used
+        if not self.budget:
+            occupied = 0
+            for key in self.keys[m]:
+                occupied |= used[key]
+            return occupied, occupied
         blocked = beside = 0
-        for line in self.lines[m]:
+        for line in self.keys[m]:
             blocked |= used[line]
             beside |= used[line ^ 1]
         return blocked | beside, blocked
@@ -134,7 +127,7 @@ class _Occupancy:
         p = self.passes[i]
         bit, used, budget = 1 << i, self.used, self.budget
         found = []
-        for line in self.lines[m]:
+        for line in self.keys[m]:
             if not used[line ^ 1] & bit:
                 continue
             # one more shared stage for both m and the member beside it
@@ -160,19 +153,14 @@ class _Occupancy:
     def join(self, i: int, m: int, met: list[int]) -> None:
         """Add m to pass i, opening it when i is one past the last pass."""
         if i == len(self.passes):
-            self.passes.append(_Pass({}, [0] * len(self.used) if self.budget else None))
+            self.passes.append(_Pass({}, [0] * len(self.used)))
         p = self.passes[i]
         bit = 1 << i
-        p.shared[m] = len(met)
-        if p.member is None:
-            taken = self.taken
-            for cell in self.cells[m]:
-                taken[cell] |= bit
-            return
         used, member = self.used, p.member
-        for line in self.lines[m]:
-            used[line] |= bit
-            member[line] = m
+        for key in self.keys[m]:
+            used[key] |= bit
+            member[key] = m
+        p.shared[m] = len(met)
         for other in met:
             p.shared[other] += 1
 
@@ -180,31 +168,24 @@ class _Occupancy:
         """Undo join(i, m, met), closing pass i if m was its only member."""
         p = self.passes[i]
         keep = ~(1 << i)
-        if p.member is None:
-            taken = self.taken
-            for cell in self.cells[m]:
-                taken[cell] &= keep
-        else:
-            used = self.used
-            for line in self.lines[m]:
-                used[line] &= keep
-            for other in met:
-                p.shared[other] -= 1
+        used = self.used
+        for key in self.keys[m]:
+            used[key] &= keep
+        for other in met:
+            p.shared[other] -= 1
         del p.shared[m]
         if not p.shared:
             self.passes.pop()
 
     def lower_bound(self) -> int:
         """Passes every legal schedule needs: the most messages on one
-        (stage, out-line), and the most on one (stage, switch) cell, or half
-        that rounded up at budget ≥ 1, as a legal pass holds at most two
-        members on a switch."""
-        switches, out_lines = self.table
-        if not switches.size:
+        (stage, out-line), and the most on one (stage, switch), or half that
+        rounded up at budget ≥ 1, as a legal pass holds at most two members
+        on a switch."""
+        if not self.lines.size:
             return 0
-        stages = np.arange(self.net.stages)
-        on_line = np.bincount((out_lines + self.net.size * stages).ravel()).max()
-        on_cell = np.bincount((switches + self.net.size // 2 * stages).ravel()).max()
+        on_line = np.bincount(self.lines.ravel()).max()
+        on_cell = np.bincount((self.lines >> 1).ravel()).max()
         return int(max(on_line, -(-on_cell // 2) if self.budget else on_cell))
 
     def schedule(self, config: ScheduleConfig) -> Schedule:
@@ -228,7 +209,7 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     state = _Occupancy(net, perm, config.budget)
     order = np.argsort(perm.sources, kind="stable").tolist()
     if config.algorithm is Algorithm.WELSH_POWELL:
-        a, b, _, _ = shared_pairs(*state.table)
+        a, b, _, _ = shared_pairs(state.lines)
         degree = np.bincount(np.r_[a, b], minlength=len(order)).tolist()
         order.sort(key=lambda i: -degree[i])
     for m in order:
@@ -287,11 +268,11 @@ def validate_schedule(
     """Check the schedule against conflicts recomputed from the path table.
 
     One `shared_pairs` call pairs the rows of every pass by shared switch,
-    each pass's switches offset so that its rows meet only each other;
-    nothing is read from the occupancy the schedulers used.  Coverage
-    errors (an index missing, duplicated, or out of range) raise; semantic
-    problems are returned as violations: link conflicts in (a, b) order,
-    then budget overruns in member order, per pass.
+    each pass's out-lines offset by pass · N so that its rows meet only
+    each other; nothing is read from the occupancy the schedulers used.
+    Coverage errors (an index missing, duplicated, or out of range) raise;
+    semantic problems are returned as violations: link conflicts in (a, b)
+    order, then budget overruns in member order, per pass.
     """
     config = config or schedule.config
     count = len(perm)
@@ -307,14 +288,14 @@ def validate_schedule(
         missing = np.flatnonzero(np.bincount(members, minlength=count) == 0).tolist()
         raise CoverageError(f"messages {missing} missing from the schedule")
 
-    switches, out_lines = path_table(net, perm.sources, perm.dests)
-    # every pass's sorted rows in one table, each pass's switches moved past
+    # every pass's sorted rows in one table, each pass's lines moved past
     # the last pass's so that rows of different passes never meet; lane is
     # ascending, so sorting lane * count + member sorts within each pass
     sizes = [len(p) for p in schedule.passes]
     lane = np.repeat(np.arange(len(sizes)), sizes)
     order = np.sort(lane * count + members) - lane * count
-    a, b, stage, link = shared_pairs(switches[order] + (net.size // 2 * lane)[:, None], out_lines[order])
+    lines = path_table(net, perm.sources, perm.dests)[order] + (net.size * lane)[:, None]
+    a, b, stage, link = shared_pairs(lines)
     # a pass's pairs are those whose row a is one of its rows
     cuts = np.searchsorted(a, np.cumsum([0, *sizes]))
     semi = (cuts[:-1] == cuts[1:]).tolist()

@@ -37,7 +37,7 @@ def draw_map(data, net):
 def conflict_pairs(net, perm):
     """The map's conflicting pairs as `shared_pairs` returns them: arrays
     a, b, stage, link over its path table."""
-    return shared_pairs(*path_table(net, perm.sources, perm.dests))
+    return shared_pairs(path_table(net, perm.sources, perm.dests))
 
 
 def degrees(pairs, count):

@@ -213,12 +213,17 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
             "error: need at least one trial, got 0\n",
         ),
         (["simulate", "--size", "8", "--random-perms", "0"], "error: need at least one permutation, got 0\n"),
+        (
+            ["bandwidth", "--sizes", "8", "--crosstalk", "bogus"],
+            "error: bad crosstalk mode 'bogus': expected allow, free, or budget=K\n",
+        ),
     ],
-    ids=["schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms"],
+    ids=["schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms", "analytic-crosstalk"],
 )
 def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
-    """Each count or budget has one check, in the library or the parser, and
-    its error is the only line written."""
+    """Each count, budget or mode has one check, in the library or the
+    parser, and its error is the only line written: `--crosstalk` is
+    checked in analytic mode too, though only simulate reads it."""
     assert run([perm_file if a == "PERM" else a for a in argv]) == 2
     assert capsys.readouterr() == ("", err)
 

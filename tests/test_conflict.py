@@ -150,16 +150,14 @@ def test_edges_csv_equals_all_pairs_oracle(topology, size, data):
 
 def test_shared_pairs_of_fewer_than_two_rows():
     for rows in (0, 1):
-        table = np.zeros((rows, 3), dtype=np.intp)
-        assert as_rows(shared_pairs(table, table)) == []
+        assert as_rows(shared_pairs(np.zeros((rows, 3), dtype=np.intp))) == []
 
 
 def test_shared_pairs_pairs_every_member_of_a_crowded_switch():
     """Three of four rows sit on switch 5 at stage 1; two of them also share
     out-line 11 there."""
-    switches = np.array([[5, 0], [5, 1], [2, 2], [5, 3]])
-    out_lines = np.array([[10, 0], [11, 2], [4, 4], [11, 6]])
-    assert as_rows(shared_pairs(switches, out_lines)) == [
+    lines = np.array([[10, 0], [11, 2], [4, 4], [11, 6]])
+    assert as_rows(shared_pairs(lines)) == [
         (0, 1, 1, False),
         (0, 3, 1, False),
         (1, 3, 1, True),
@@ -170,7 +168,7 @@ def test_shared_pairs_of_one_destination_are_every_pair_once(omega8):
     """Five messages to destination 0 end on one out-line, so each pair of
     them meets at least at the last stage, and every pair ends in a link
     conflict."""
-    a, b, _, link = shared_pairs(*path_table(omega8, range(5), [0] * 5))
+    a, b, _, link = shared_pairs(path_table(omega8, range(5), [0] * 5))
     assert list(zip(a.tolist(), b.tolist())) == list(combinations(range(5), 2))
     assert link.all()
 
@@ -179,9 +177,9 @@ def test_a_link_conflict_is_one_edge_at_its_stage(omega8):
     """0->0 and 4->1 sit on switch 0 at all three stages of the path table,
     on one out-line at stages 1 and 2: they collide at stage 1, and that is
     their one edge."""
-    switches, out_lines = path_table(omega8, [0, 4], [0, 1])
-    assert (switches == 0).all()
-    assert (out_lines[0] == out_lines[1]).tolist() == [True, True, False]
-    assert as_rows(shared_pairs(switches, out_lines)) == [(0, 1, 1, True)]
+    lines = path_table(omega8, [0, 4], [0, 1])
+    assert (lines >> 1 == 0).all()
+    assert (lines[0] == lines[1]).tolist() == [True, True, False]
+    assert as_rows(shared_pairs(lines)) == [(0, 1, 1, True)]
     perm = make_permutation([Message(0, 0), Message(4, 1)], 8)
     assert edges_csv(*conflict_pairs(omega8, perm)).split("\n")[1] == "0,1,1,link"

@@ -4,6 +4,7 @@ The reference here samples each trial with a Python loop over its own
 substream, in the documented draw order, and resolves it with
 resolve_single_pass; the kernel must agree on every trial.
 """
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -154,6 +155,26 @@ def test_lower_switch_drop_flips_higher_switch_decision():
     kernel = resolve_batch(net, np.array([dests]), [1])[1]
     assert np.flatnonzero(kernel[0]).tolist() == [1, 2, 3, 4]
 
+
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+@pytest.mark.parametrize("size, passing", [(4, 16), (8, 4096)])
+def test_full_permutations_passing_in_one_pass(topology, size, passing):
+    """Of the N! full permutations exactly 2^(nN/2) pass whole in one allow
+    pass, one per setting of the nN/2 switches.  None passes at a budget
+    below n, as every switch holds two messages at every stage."""
+    net = build_network(size, topology)
+    assert passing == 2 ** (net.stages * size // 2)
+    dests = np.array(list(permutations(range(size))))
+    budgets = list(range(net.stages))
+    whole = {mode: alive.all(axis=1) for mode, alive in resolve_batch(net, dests, budgets).items()}
+    assert whole[None].sum() == passing
+    for budget in budgets:
+        assert not whole[budget].any()
+    if size == 4:
+        for row, passes in zip(dests.tolist(), whole[None].tolist()):
+            survivors = resolve_single_pass(net, full_permutation(net, row).pairs, budgets)
+            assert (len(survivors[None]) == size) == passes
+            assert all(len(survivors[budget]) < size for budget in budgets)
 
 
 @pytest.mark.parametrize("topology", ["omega", "baseline"])

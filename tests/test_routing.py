@@ -103,8 +103,9 @@ def test_window_equals_trace(size, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64, 128, 256]), st.data())
 def test_path_table_equals_trace(topology, size, data):
-    """Rows of path_table are the traced switches and out-lines, for full
-    maps and for partial maps that may repeat destinations."""
+    """Rows of path_table are the traced out-lines, (switch << 1) | out_port,
+    whose halves are the traced switches, for full maps and for partial maps
+    that may repeat destinations."""
     net = build_network(size, topology)
     if data.draw(st.booleans()):
         sources = list(range(size))
@@ -112,12 +113,12 @@ def test_path_table_equals_trace(topology, size, data):
     else:
         sources = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size - 1))
         dests = data.draw(st.lists(st.integers(0, size - 1), min_size=len(sources), max_size=len(sources)))
-    switches, out_lines = path_table(net, sources, dests)
-    assert switches.shape == out_lines.shape == (len(sources), net.stages)
+    lines = path_table(net, sources, dests)
+    assert lines.shape == (len(sources), net.stages)
     for row, (s, d) in enumerate(zip(sources, dests)):
         hops = trace_path(net, Message(s, d))
-        assert switches[row].tolist() == [h.switch for h in hops]
-        assert out_lines[row].tolist() == [(h.switch << 1) | h.out_port for h in hops]
+        assert (lines[row] >> 1).tolist() == [h.switch for h in hops]
+        assert lines[row].tolist() == [(h.switch << 1) | h.out_port for h in hops]
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,9 +132,9 @@ def test_paths_that_part_at_a_switch_never_meet_again(topology, size, data):
     count each pair once."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
-    switches, out_lines = path_table(net, perm.sources, perm.dests)
-    same_switch = switches[:, None, :] == switches[None, :, :]
-    same_line = out_lines[:, None, :] == out_lines[None, :, :]
+    lines = path_table(net, perm.sources, perm.dests)
+    same_switch = lines[:, None, :] >> 1 == lines[None, :, :] >> 1
+    same_line = lines[:, None, :] == lines[None, :, :]
     parted = same_switch & ~same_line
     parted_before = np.cumsum(parted, axis=2) - parted > 0
     assert not (same_switch & parted_before).any()

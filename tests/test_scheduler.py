@@ -471,22 +471,21 @@ def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypat
         assert not validate_schedule(omega8, showcase, schedule).violations
 
 
-def _masks_from_members(net, perm, state):
-    """`taken` (budget 0) or `used` (budget ≥ 1) rebuilt from the path table
-    and each pass's members, with the member leaving on each used line."""
-    switches, out_lines = path_table(net, perm.sources, perm.dests)
-    half = net.size // 2
-    taken = [0] * (half * net.stages)
-    used = [0] * (net.size * net.stages)
-    on_line = {}
+def _masks_from_members(net, perm, state, budget):
+    """`used` rebuilt from the path table and each pass's members, one mask
+    per (stage, switch) at budget 0 and per (stage, out-line) at budget ≥ 1,
+    with the member holding each used key."""
+    lines = path_table(net, perm.sources, perm.dests)
+    width = net.size if budget != 0 else net.size // 2
+    used = [0] * (width * net.stages)
+    holder = {}
     for i, p in enumerate(state.passes):
         for m in p.shared:
             for k in range(net.stages):
-                taken[k * half + switches[m, k]] |= 1 << i
-                line = k * net.size + out_lines[m, k]
-                used[line] |= 1 << i
-                on_line[i, line] = m
-    return taken, used, on_line
+                key = k * width + (lines[m, k] if budget != 0 else lines[m, k] >> 1)
+                used[key] |= 1 << i
+                holder[i, key] = m
+    return used, holder
 
 
 @settings(max_examples=80, deadline=None)
@@ -518,15 +517,12 @@ def test_occupancy_masks_equal_members(topology, size, budget, data):
         members = [sorted(m for j, m, _ in joined if j == i) for i in range(len(state.passes))]
         assert [sorted(p.shared) for p in state.passes] == members
         # each member's shared-stage count: the stages where another member is on its switch
-        switches = state.table[0]
+        switches = state.lines >> 1
         for p, ms in zip(state.passes, members):
             assert p.shared == {m: int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms}
-        taken, used, on_line = _masks_from_members(net, perm, state)
-        if budget == 0:
-            assert state.taken == taken
-        else:
-            assert state.used == used
-            assert {(i, line): state.passes[i].member[line] for i, line in on_line} == on_line
+        used, holder = _masks_from_members(net, perm, state, budget)
+        assert state.used == used
+        assert {(i, key): state.passes[i].member[key] for i, key in holder} == holder
 
 
 @settings(max_examples=60, deadline=None)
