@@ -63,10 +63,10 @@ class ValidationReport:
 
 
 class _Pass(NamedTuple):
-    """One pass under construction: each member's shared-stage count and the
-    member holding each key of `_Occupancy.keys`.  An entry is read only at
-    budget ≥ 1, where a key is a (stage, out-line), and only while the
-    pass's bit in `_Occupancy.used` is set for it."""
+    """One pass under construction: each member's shared-stage count and, at
+    budget ≥ 1 only, the member holding each out-line key of
+    `_Occupancy.keys`.  An entry is read only while the pass's bit in
+    `_Occupancy.used` is set for it; at budget 0 the list is empty."""
 
     shared: dict[int, int]
     member: list[int]
@@ -82,11 +82,11 @@ class _Occupancy:
     stage k + 1, and its half, k·N/2 + switch, numbers each (stage, switch).
     At budget 0, where any shared switch is one too many, a message's keys
     are its switches; at budget ≥ 1 they are its out-lines, and a switch's
-    mask is the OR of its two out-lines'.  OR-ing a message's masks gives
-    the passes it would share a switch in and those it would share a line
-    in, which it cannot join.  The lowest pass it shares no switch in
-    always takes it, so only the unblocked passes below that one need a
-    closer look.
+    mask is the OR of its two out-lines'.  `first_fit(m, start)` is the one
+    admission rule: OR-ing m's masks once gives the passes it cannot join
+    (a shared switch at budget 0, a shared line at budget ≥ 1) and, at
+    budget ≥ 1, those in which it would share a switch; only the latter
+    are checked against the budget.
 
     In a pass a message shares no line in, each switch it would share holds
     exactly one member, the one leaving on the other out-line: a second
@@ -105,61 +105,54 @@ class _Occupancy:
         self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
         self.passes: list[_Pass] = []
 
-    def masks(self, m: int) -> tuple[int, int]:
-        """The passes m would share a switch in, and the passes it cannot
-        join because it would share a line in them (any switch, at budget 0)."""
-        used = self.used
-        if not self.budget:
-            occupied = 0
-            for key in self.keys[m]:
-                occupied |= used[key]
-            return occupied, occupied
+    def first_fit(self, m: int, start: int = 0) -> tuple[int, list[int]]:
+        """The first pass from `start` on that m can join, and the members it
+        would meet there; len(passes), a new pass, when no open one takes m."""
+        keys, used, budget = self.keys[m], self.used, self.budget
         blocked = beside = 0
-        for line in self.keys[m]:
-            blocked |= used[line]
-            beside |= used[line ^ 1]
-        return blocked | beside, blocked
-
-    def partners(self, i: int, m: int) -> list[int] | None:
-        """The member m would meet at each switch it shares in pass i, or None
-        if m or one of them would go over the budget.  Asked only at budget
-        ≥ 1, of a pass m shares no line in."""
-        p = self.passes[i]
-        bit, used, budget = 1 << i, self.used, self.budget
-        found = []
-        for line in self.keys[m]:
-            if not used[line ^ 1] & bit:
-                continue
-            # one more shared stage for both m and the member beside it
-            other = p.member[line ^ 1]
-            if len(found) >= budget or p.shared[other] >= budget:
-                return None
-            found.append(other)
-        return found
-
-    def first_fit(self, m: int) -> tuple[int, list[int]]:
-        """The first pass m can join, and the members it would meet there."""
-        occupied, blocked = self.masks(m)
-        free = ((occupied + 1) & ~occupied).bit_length() - 1
-        check = occupied & ~blocked & ((1 << free) - 1)
-        while check:
-            i = (check & -check).bit_length() - 1
-            met = self.partners(i, m)
-            if met is not None:
+        if budget:
+            for line in keys:
+                blocked |= used[line]
+                beside |= used[line ^ 1]
+        else:
+            for key in keys:
+                blocked |= used[key]
+        # bit len(passes) is clear in every mask, so the walk ends there at the latest
+        free = ~blocked & -(1 << start)
+        while True:
+            bit = free & -free
+            i = bit.bit_length() - 1
+            if not beside & bit:
+                return i, []
+            p = self.passes[i]
+            met = []
+            for line in keys:
+                if not used[line ^ 1] & bit:
+                    continue
+                # one more shared stage for both m and the member beside it
+                other = p.member[line ^ 1]
+                if len(met) >= budget or p.shared[other] >= budget:
+                    break
+                met.append(other)
+            else:
                 return i, met
-            check &= check - 1
-        return free, []
+            free ^= bit
 
     def join(self, i: int, m: int, met: list[int]) -> None:
         """Add m to pass i, opening it when i is one past the last pass."""
         if i == len(self.passes):
-            self.passes.append(_Pass({}, [0] * len(self.used)))
+            self.passes.append(_Pass({}, [0] * len(self.used) if self.budget else []))
         p = self.passes[i]
         bit = 1 << i
-        used, member = self.used, p.member
-        for key in self.keys[m]:
-            used[key] |= bit
-            member[key] = m
+        used = self.used
+        if self.budget:
+            member = p.member
+            for key in self.keys[m]:
+                used[key] |= bit
+                member[key] = m
+        else:
+            for key in self.keys[m]:
+                used[key] |= bit
         p.shared[m] = len(met)
         for other in met:
             p.shared[other] += 1
@@ -234,22 +227,19 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     if count > EXACT_CAP:
         raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
     state = _Occupancy(net, perm, config.budget)
-    passes = state.passes
 
     def assign(i: int, limit: int) -> bool:
         if i == count:
             return True
-        occupied, blocked = state.masks(i)
-        for c in range(min(len(passes) + 1, limit)):
-            if blocked >> c & 1:
-                continue
-            met = state.partners(c, i) if occupied >> c & 1 else []
-            if met is None:
-                continue
+        c, met = state.first_fit(i)
+        while c < limit:
             state.join(c, i, met)
             if assign(i + 1, limit):
                 return True
             state.leave(c, i, met)
+            if c == len(state.passes):  # the new pass, the last one to try
+                break
+            c, met = state.first_fit(i, c + 1)
         return False
 
     # a failed search undoes every join, so each limit starts from no passes

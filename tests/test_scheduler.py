@@ -503,14 +503,11 @@ def test_occupancy_masks_equal_members(topology, size, budget, data):
             state.leave(*joined.pop())
         elif waiting:
             m = data.draw(st.sampled_from(waiting))
-            occupied, blocked = state.masks(m)
-            fits = {len(state.passes): []}
-            for i in range(len(state.passes)):
-                if blocked >> i & 1:
-                    continue
-                met = state.partners(i, m) if occupied >> i & 1 else []
-                if met is not None:
-                    fits[i] = met
+            i, met = state.first_fit(m)
+            fits = {i: met}
+            while i < len(state.passes):
+                i, met = state.first_fit(m, i + 1)
+                fits[i] = met
             i = data.draw(st.sampled_from(sorted(fits)))
             state.join(i, m, fits[i])
             joined.append((i, m, fits[i]))
@@ -522,7 +519,57 @@ def test_occupancy_masks_equal_members(topology, size, budget, data):
             assert p.shared == {m: int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms}
         used, holder = _masks_from_members(net, perm, state, budget)
         assert state.used == used
-        assert {(i, key): state.passes[i].member[key] for i, key in holder} == holder
+        if budget != 0:  # at budget 0 no pass records its holders
+            assert {(i, key): state.passes[i].member[key] for i, key in holder} == holder
+
+
+def _legal_passes(net, perm, state, m, budget):
+    """The passes m may join, by `validate_schedule` on each pass's members
+    plus m as the one pass of their sub-map, then the new pass."""
+    legal = []
+    for i, p in enumerate(state.passes):
+        sub = make_permutation([perm.pairs[q] for q in [*p.shared, m]], net.size)
+        schedule = Schedule([list(range(len(sub)))], ScheduleConfig(budget=budget), [])
+        if not validate_schedule(net, sub, schedule).violations:
+            legal.append(i)
+    return legal + [len(state.passes)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16]), st.sampled_from([0, 1, 2, None]), st.data())
+def test_first_fit_is_the_lowest_legal_pass_from_start(topology, size, budget, data):
+    """From every start, `first_fit(m, start)` is the lowest pass from start
+    on that the validator lets m join, or the new pass, and the members it
+    meets there are those that share a switch with m.  Each message then
+    joins any pass the validator allows, so the passes are seldom those
+    greedy would build."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    switches = path_table(net, perm.sources, perm.dests) >> 1
+    state = scheduler._Occupancy(net, perm, budget)
+    for m in data.draw(st.permutations(range(len(perm)))):
+        legal = _legal_passes(net, perm, state, m, budget)
+        for start in range(len(state.passes) + 1):
+            i, met = state.first_fit(m, start)
+            assert i == min(c for c in legal if c >= start)
+            members = sorted(state.passes[i].shared) if i < len(state.passes) else []
+            assert sorted(met) == [q for q in members if (switches[q] == switches[m]).any()]
+        i = data.draw(st.sampled_from(legal))
+        state.join(i, m, state.first_fit(m, i)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(Topology)), st.data())
+def test_exact_needs_two_passes_exactly_when_the_pairs_are_two_colourable(topology, data):
+    """At budget 0 a pass is a set of messages no two of which share a switch,
+    so two passes suffice exactly when the graph on the conflicting pairs is
+    two-colourable (Shen, Yang & Pan, IEEE/ACM ToN 2001)."""
+    net = build_network(8, topology)
+    perm = draw_map(data, net)
+    a, b, _, _ = conflict_pairs(net, perm)
+    edges = list(zip(a.tolist(), b.tolist()))
+    two = any(all(side >> x & 1 != side >> y & 1 for x, y in edges) for side in range(1 << len(perm)))
+    assert (len(schedule_exact(net, perm, exact_cfg(0)).passes) <= 2) == two
 
 
 @settings(max_examples=60, deadline=None)
