@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import (
     Mode,
     TrafficModel,
@@ -24,7 +26,7 @@ from .analysis import (
 )
 from .conflict import edges_csv, shared_pairs
 from .errors import ParseError, SimulatorError
-from .routing import parse_permutation, path_table, trace_path
+from .routing import parse_permutation, path_table
 from .scheduler import (
     Algorithm,
     ScheduleConfig,
@@ -34,7 +36,7 @@ from .scheduler import (
     validate_schedule,
 )
 from .streams import check_seed
-from .topology import build_network
+from .topology import build_network, wiring
 
 
 def _fmt(x: float) -> str:
@@ -49,7 +51,7 @@ def _jnum(x: float) -> float:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -91,13 +93,13 @@ def _parse_mode(token: str) -> Mode:
 def _cmd_route(args) -> int:
     net = build_network(args.size, args.topology)
     perm = parse_permutation(_read_text(args.perm), net)
-    lines = ["source,destination,stage,switch,in_port,out_port"]
-    for msg in perm.pairs:
-        for hop in trace_path(net, msg):
-            lines.append(
-                f"{msg.source},{msg.destination},{hop.stage},{hop.switch},{hop.in_port},{hop.out_port}"
-            )
-    _emit("\n".join(lines) + "\n", args.output)
+    out = path_table(net, perm.sources, perm.dests)
+    stage = np.arange(1, net.stages + 1)
+    # the line entering each stage: the source or the previous out-line, rewired
+    into = wiring(net)[stage - 1, np.c_[perm.sources, out[:, :-1]]]
+    columns = np.broadcast_arrays(perm.sources[:, None], perm.dests[:, None], stage, out >> 1, into & 1, out & 1)
+    rows = map("{},{},{},{},{},{}".format, *(column.ravel().tolist() for column in columns))
+    _emit("\n".join(["source,destination,stage,switch,in_port,out_port", *rows]) + "\n", args.output)
     return 0
 
 

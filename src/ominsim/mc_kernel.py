@@ -32,7 +32,6 @@ resolves its one map as a single trial:
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -48,15 +47,6 @@ CHUNK_CELLS = 1 << 16
 
 def chunk_trials(net: NetworkSpec) -> int:
     return max(1, CHUNK_CELLS // net.size)
-
-
-@lru_cache(maxsize=16)
-def _feeders(net: NetworkSpec) -> np.ndarray:
-    """(n, N) read-only inverse of the wiring table: row k gives, for every
-    line entering stage k + 1, the line that feeds it."""
-    feeders = np.argsort(wiring(net), axis=1)
-    feeders.flags.writeable = False
-    return feeders
 
 
 def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:
@@ -111,10 +101,16 @@ def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     n, size = net.stages, net.size
     empty = size << n
-    keys = np.where(dests >= 0, (np.arange(size) << n) | dests, empty)
+    lines = np.arange(size)
+    keys = np.where(dests >= 0, (lines << n) | dests, empty)
     entering = np.empty((n,) + keys.shape, dtype=np.intp)
-    for k, feeders in enumerate(_feeders(net)):
-        keys = keys[:, feeders]
+    feeder = np.empty(size, dtype=np.intp)
+    for k, row in enumerate(wiring(net)):
+        # row sends line i to row[i]: scattering the line numbers through it
+        # names the feeder of every entering line, and the keys are gathered
+        # through that (on a full chunk, 3x faster than scattering the keys)
+        feeder[row] = lines
+        keys = keys[:, feeder]
         entering[k] = keys >> n
         upper, lower = keys[:, 0::2], keys[:, 1::2]
         upper_bit, lower_bit = (upper >> (n - 1 - k)) & 1, (lower >> (n - 1 - k)) & 1

@@ -109,13 +109,12 @@ def first_repeat(values: np.ndarray, size: int) -> int | None:
     return int(values[order[1:][ordered[1:] == ordered[:-1]].min()])
 
 
-def _checked(sources: np.ndarray, dests: np.ndarray, size: int, end: int | None = None) -> PermutationMap:
+def _checked(sources: np.ndarray, dests: np.ndarray, size: int) -> PermutationMap:
     """The map sources[i] -> dests[i], checked in message order as one loop
-    would check it.  Messages before `end` (all of them when None) have
-    their endpoints in [0, size), and the message at `end` does not: a
-    source repeated before it is reported first."""
+    would check it: a source repeated before the first endpoint outside
+    [0, size) is reported first, then that endpoint."""
     count = len(sources)
-    end = count if end is None else end
+    end = first_outside(size, sources, dests)
     source = first_repeat(sources[:end], size)
     if source is not None:
         raise DuplicateSourceError(f"source {source} listed twice")
@@ -132,7 +131,7 @@ def make_permutation(pairs: Iterable[Message], size: int) -> PermutationMap:
     pairs = tuple(pairs)
     sources = int_array(m.source for m in pairs)
     dests = int_array(m.destination for m in pairs)
-    return _checked(sources, dests, size, first_outside(size, sources, dests))
+    return _checked(sources, dests, size)
 
 
 def full_permutation(net: NetworkSpec, destinations: Sequence[int]) -> PermutationMap:
@@ -140,7 +139,7 @@ def full_permutation(net: NetworkSpec, destinations: Sequence[int]) -> Permutati
     if len(destinations) != net.size:
         raise OutOfRangeError(f"expected {net.size} destinations, got {len(destinations)}")
     dests = int_array(destinations)
-    return _checked(np.arange(net.size), dests, net.size, first_outside(net.size, dests))
+    return _checked(np.arange(net.size), dests, net.size)
 
 
 def routing_bit(net: NetworkSpec, destination: int, stage: int) -> int:

@@ -1,13 +1,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ominsim import NotPowerOfTwoError, OutOfRangeError, TrafficModel, build_network, monte_carlo, parse_permutation
+from ominsim import (
+    NotPowerOfTwoError,
+    OutOfRangeError,
+    TrafficModel,
+    build_network,
+    format_permutation,
+    make_permutation,
+    monte_carlo,
+    parse_permutation,
+    trace_path,
+)
 from ominsim.analysis import generate_random_permutation
 from ominsim.cli import build_parser, run
 from ominsim.streams import substream
 
-from .conftest import SHOWCASE_DESTS
+from .conftest import SHOWCASE_DESTS, draw_map, networks
 
 
 @pytest.fixture
@@ -108,6 +120,45 @@ def test_route_table(perm_file, capsys):
     assert len(lines) == 1 + 8 * 3
 
 
+def _route_rows(net, perm, folder):
+    """`route` run on the map through files in `folder`: its header and its
+    rows as integer tuples."""
+    folder.mkdir(exist_ok=True)
+    (folder / "map.perm").write_text(format_permutation(perm))
+    argv = ["route", "--size", str(net.size), "--topology", net.topology.value]
+    assert run(argv + ["--perm", str(folder / "map.perm"), "--output", str(folder / "route.csv")]) == 0
+    header, *rows = (folder / "route.csv").read_text().splitlines()
+    return header, [tuple(map(int, row.split(","))) for row in rows]
+
+
+def _traced_rows(net, perm):
+    """The reference rows: every traced hop, in message then stage order."""
+    return [
+        (msg.source, msg.destination, hop.stage, hop.switch, hop.in_port, hop.out_port)
+        for msg in perm.pairs
+        for hop in trace_path(net, msg)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), networks(sizes=(4, 8, 16, 32, 64)))
+def test_route_rows_equal_traced_hops(tmp_path_factory, data, net):
+    """`route` reads the path table; trace_path walks the wiring one line at
+    a time.  Full and partial maps, repeated destinations included."""
+    perm = draw_map(data, net)
+    header, rows = _route_rows(net, perm, tmp_path_factory.getbasetemp() / "route-vs-trace")
+    assert header == "source,destination,stage,switch,in_port,out_port"
+    assert rows == _traced_rows(net, perm)
+
+
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+def test_route_of_an_empty_map_is_its_header(topology, tmp_path):
+    net = build_network(16, topology)
+    header, rows = _route_rows(net, make_permutation([], net.size), tmp_path)
+    assert header == "source,destination,stage,switch,in_port,out_port"
+    assert rows == []
+
+
 def test_simulate_report(capsys):
     assert run(["simulate", "--size", "8", "--random-perms", "40", "--seed", "3", "--budget", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -139,6 +190,18 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", "sometimes"]) == 2
     assert run(["nope"]) == 2
 
+
+
+@pytest.mark.parametrize("command", ["route", "conflicts", "schedule"])
+def test_non_utf8_map_exits_2(command, tmp_path, capsys):
+    """A map that is not UTF-8 is a bad file: exit 2 with one error line."""
+    path = tmp_path / "latin.perm"
+    path.write_bytes(b"0 1\n\xff\xfe 2\n")
+    assert run([command, "--size", "8", "--perm", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -174,8 +237,6 @@ def test_generate_random_permutation_contract():
 
 
 def test_written_permutation_reparses(tmp_path, capsys):
-    from ominsim import format_permutation
-
     perm = generate_random_permutation(16, substream(23, 4))
     path = tmp_path / "random.perm"
     path.write_text(format_permutation(perm))
