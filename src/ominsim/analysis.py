@@ -149,70 +149,57 @@ def _budget_sweep(
     """Stage-by-stage enforcement of a shared-stage budget, grouping the
     survivors by switch (out-line >> 1).
 
-    At each contested switch the share is tolerated while every occupant
-    stays within budget; otherwise the occupant with the largest excess is
-    dropped (the highest source on a tie) and its earlier shares dissolve.
+    A message's count is the number of stages at which it shares a switch
+    with a partner still alive.  At each contested switch the share is
+    tolerated while every occupant stays within budget; otherwise the
+    occupant with the largest count drops (the highest source on a tie),
+    and its shares stop counting for its partners.
     """
     alive = set(start)
-    shared: dict[int, set[int]] = {m: set() for m in alive}
-    partners: dict[int, dict[int, list[int]]] = {m: {} for m in alive}
-
-    def drop(victim: int) -> None:
-        alive.discard(victim)
-        for stage_j, plist in partners[victim].items():
-            for x in plist:
-                if x in alive:
-                    partners[x][stage_j].remove(victim)
-                    if not partners[x][stage_j]:
-                        del partners[x][stage_j]
-                        shared[x].discard(stage_j)
-
+    shares: dict[int, list[tuple[int, int]]] = {m: [] for m in alive}
     for stage in range(stages):
         groups: dict[int, list[int]] = {}
         for m in sorted(alive):
             groups.setdefault(outlines[m][stage] >> 1, []).append(m)
         for switch in sorted(groups):
             group = sorted(groups[switch], key=lambda m: requests[m].source)
-            while True:
-                group = [m for m in group if m in alive]
-                if len(group) < 2:
-                    break
-                counts = {m: len(shared[m]) + 1 for m in group}
-                worst = max(counts.values())
-                if worst <= budget:
+            while len(group) > 1:
+                counts = {m: len({j for j, x in shares[m] if x in alive}) + 1 for m in group}
+                if max(counts.values()) <= budget:
                     for m in group:
-                        shared[m].add(stage)
-                        partners[m][stage] = [x for x in group if x != m]
+                        shares[m] += [(stage, x) for x in group if x != m]
                     break
-                candidates = [m for m in group if counts[m] == worst]
-                drop(candidates[-1])
+                victim = max(group, key=lambda m: (counts[m], requests[m].source))
+                alive.discard(victim)
+                group.remove(victim)
     return alive
 
 
 def resolve_single_pass(
     net: NetworkSpec,
     requests: Sequence[Message],
-    budgets: Sequence[int] = (),
+    budgets: Sequence[Mode] = (),
 ) -> dict[Mode, set[int]]:
     """Resolve one simultaneous batch and report nested survivor sets.
 
     The allow phase keeps one message per contested line (dropped requests
     cannot reroute, so they vanish).  Each requested budget then prunes the
     previous phase's survivors, largest budget first, which guarantees
-    survivors(k) is a subset of survivors(k') whenever k < k'.  Keys of the
-    result: None for the allow phase plus every entry of ``budgets``.
+    survivors(k) is a subset of survivors(k') whenever k < k'.  ``budgets``
+    are taken as resolve_batch takes its modes: None (allow) and repeats may
+    appear.  Keys of the result: None for the allow phase plus every entry
+    of ``budgets``.
     """
     seen = set()
     for msg in requests:
         if msg.source in seen:
             raise DuplicateSourceError(f"source {msg.source} requested twice")
         seen.add(msg.source)
-    for budget in budgets:
-        check_mode(budget)
+    chain = sorted({check_mode(m) for m in budgets if m is not None}, reverse=True)
     outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests]).tolist()
     alive = _allow_sweep(requests, outlines, net.stages)
     result: dict[Mode, set[int]] = {None: set(alive)}
-    for budget in sorted(set(budgets), reverse=True):
+    for budget in chain:
         alive = _budget_sweep(requests, outlines, net.stages, alive, budget)
         result[budget] = set(alive)
     return result

@@ -16,17 +16,20 @@ resolves its one map as a single trial:
   allow survivors meet once per chunk, for all stages in one gather, and
   every budget sweep reads that list, keeping the pairs whose two messages
   it still has alive.
-* A message's shared count is the number of its recorded shares whose
-  partner is still alive: a drop decrements the counts of the victim's
-  recorded partners, and nothing else needs undoing.
+* The reference visits the switches in order, stage by stage, so each
+  switch has a position k * N/2 + switch.  The budget sweep records, for
+  every message, its partner at each stage and the position at which it
+  dropped (past the last position while it lives).  A message's shared
+  count at a position is the number of its partners whose drop position
+  lies beyond it, so a drop needs nothing decremented or undone.
 * A message meets one switch per stage, so at stage k (from 0) its shared
   count is at most k and no stage below the budget can drop: there every
   share stands.  At budget 0 every contested pair drops its higher source,
   so that sweep keeps no counts; at budget >= 1 only the stages k >= budget
   need the fixed point below.
-* The reference visits the switches of a stage in ascending order, and a
-  drop at a lower switch can lower a count at a higher switch of the same
-  stage.  Each stage therefore recomputes its victims until they stop
+* A drop at a lower switch can lower a count at a higher switch of the
+  same stage.  Each stage therefore writes its victims' positions, reads
+  the counts again, and resets and rewrites the victims until they stop
   changing.  A decision depends only on drops at lower switches, so the
   fixed point is unique and equals the sequential result.
 """
@@ -138,46 +141,41 @@ def _budget_sweep(
     switch per stage, so at stage k its count is at most k: no stage below
     the budget can drop, and only stages k >= budget run the fixed point.
     """
-    alive = start.copy()
     if budget == 0:
+        alive = start.copy()
         for a, b, _ in pairs:
             live = alive[a] & alive[b]
             alive[np.maximum(a[live], b[live])] = False
         return alive
     n, half = net.stages, net.size // 2
-    count = np.zeros(alive.size, dtype=np.intp)
-    # Slot N is trial 0's empty line: never alive, so a safe "no partner".
-    partner = np.full((n, alive.size), net.size, dtype=np.intp)
-    dropped_at = np.full(alive.size, half, dtype=np.intp)
+    # The position k * N/2 + switch at which each slot dropped: `never` while
+    # it lives, -1 outside start, which covers slot N, the "no partner".
+    never = n * half
+    dropped = np.where(start, never, -1)
+    partner = np.full((n, start.size), net.size, dtype=np.intp)
     for k, (a, b, switch) in enumerate(pairs):
-        live = alive[a] & alive[b]
+        live = (dropped[a] == never) & (dropped[b] == never)
         a, b, switch = a[live], b[live], switch[live]
         if k >= budget:
-            count_a, count_b = count[a], count[b]
+            at = k * half + switch
             partners_a, partners_b = partner[:k, a], partner[:k, b]
             victims = np.full(a.size, -1, dtype=np.intp)
             # A drop at a lower switch of this stage lowers counts at higher
             # ones: recompute the victims until they stop changing.
             while True:
-                ca = count_a - (dropped_at[partners_a] < switch).sum(axis=0)
-                cb = count_b - (dropped_at[partners_b] < switch).sum(axis=0)
+                ca = (dropped[partners_a] > at).sum(axis=0)
+                cb = (dropped[partners_b] > at).sum(axis=0)
                 over = np.maximum(ca, cb) >= budget
                 drop_a = (ca > cb) | ((ca == cb) & (a > b))
                 update = np.where(over, np.where(drop_a, a, b), -1)
                 if np.array_equal(update, victims):
                     break
-                dropped_at[victims[victims >= 0]] = half
+                dropped[victims[victims >= 0]] = never
                 victims = update
-                dropped_at[victims[over]] = switch[over]
-            dropped = victims[over]
-            dropped_at[dropped] = half
-            alive[dropped] = False
-            np.subtract.at(count, partner[:k, dropped].ravel(), 1)
+                dropped[victims[over]] = at[over]
             a, b = a[~over], b[~over]
         partner[k, a], partner[k, b] = b, a
-        count[a] += 1
-        count[b] += 1
-    return alive
+    return dropped == never
 
 
 def resolve_batch(

@@ -92,10 +92,7 @@ def traffics(draw, net):
 @given(st.data(), networks(), chains, st.integers(min_value=1, max_value=8), seeds)
 def test_kernel_matches_reference_trial_by_trial(data, net, modes, trials, seed):
     traffic = data.draw(traffics(net))
-    budgets = [m for m in modes if m is not None]
-    assert kernel_counts(net, traffic, budgets, trials, seed) == reference_counts(
-        net, traffic, budgets, trials, seed
-    )
+    assert kernel_counts(net, traffic, modes, trials, seed) == reference_counts(net, traffic, modes, trials, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,8 +102,7 @@ def test_kernel_matches_reference_trial_by_trial(data, net, modes, trials, seed)
 )
 def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials, per_chunk, seed):
     traffic = data.draw(traffics(net))
-    budgets = [m for m in dict.fromkeys(modes) if m is not None]
-    rows = reference_counts(net, traffic, budgets, trials, seed)
+    rows = reference_counts(net, traffic, modes, trials, seed)
     with mock.patch.object(mc_kernel, "CHUNK_CELLS", per_chunk * net.size):
         report = monte_carlo(net, traffic, modes, trials, seed)
     assert_report_matches(report, rows, modes)
@@ -180,7 +176,8 @@ def test_full_permutations_passing_in_one_pass(topology, size, passing):
 @pytest.mark.parametrize("topology", ["omega", "baseline"])
 def test_batch_takes_modes_as_held(topology):
     """None and repeats may appear among the modes: the masks are those of
-    the distinct budgets, keyed by None plus every mode asked for."""
+    the distinct budgets, keyed by None plus every mode asked for.  The
+    reference takes its budgets the same way."""
     net = build_network(16, topology)
     dests = sample_requests(net, 1.0, None, 7, 0, 50)
     held = resolve_batch(net, dests, [None, 0, 1, 0])
@@ -188,6 +185,32 @@ def test_batch_takes_modes_as_held(topology):
     assert held.keys() == plain.keys() == {None, 0, 1}
     for mode, alive in plain.items():
         assert np.array_equal(held[mode], alive)
+    for row in dests[:10]:
+        requests = [Message(s, int(d)) for s, d in enumerate(row)]
+        assert resolve_single_pass(net, requests, [None, 0, 1, 0]) == resolve_single_pass(net, requests, [1, 0])
+
+
+# Per mode, survivors: maps over all 40,320 full N=8 maps.  Allow and
+# budget=2 are the same on both topologies.
+ALLOW_8 = {2: 128, 3: 512, 4: 6912, 5: 12288, 6: 16384, 8: 4096}
+BUDGET2_8 = {2: 128, 3: 512, 4: 21248, 5: 16384, 6: 2048}
+SURVIVORS_8 = {
+    "omega": {None: ALLOW_8, 2: BUDGET2_8, 1: {2: 128, 3: 1536, 4: 38656}, 0: {2: 3840, 3: 20224, 4: 16256}},
+    "baseline": {None: ALLOW_8, 2: BUDGET2_8, 1: {2: 128, 3: 2560, 4: 37632}, 0: {2: 4992, 3: 21504, 4: 13824}},
+}
+
+
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+def test_exhaustive_n8_survivor_distribution(topology):
+    """Every full N=8 map through the chain 2, 1, 0: the number of maps with
+    each survivor count, per mode, equals a table derived once from
+    resolve_single_pass, which takes about 6 s per topology against about
+    0.1 s here."""
+    net = build_network(8, topology)
+    dests = np.array(list(permutations(range(8))))
+    for mode, alive in resolve_batch(net, dests, [2, 1, 0]).items():
+        counts, maps = np.unique(alive.sum(axis=1), return_counts=True)
+        assert dict(zip(counts.tolist(), maps.tolist())) == SURVIVORS_8[topology][mode], mode
 
 
 def test_monte_carlo_rows_in_first_seen_order(omega8):
