@@ -12,20 +12,21 @@ Modes are resolved per trial as a chain of drop phases, each starting from
 the previous (more permissive) survivor set, so survivor sets are nested by
 construction and with/without-crosstalk comparisons are variance-free.
 Every contest keeps the lowest source.  resolve_single_pass is the Python
-reference; monte_carlo and the random-permutation study resolve through
-the vectorised mc_kernel.resolve_batch, which matches it trial by trial,
-and passability is one load-1 trial of monte_carlo over its map.
+reference.  monte_carlo, passability and the random-permutation study
+count survivors through one loop, _single_pass, over the vectorised
+mc_kernel.resolve_batch, which matches the reference trial by trial.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DuplicateSourceError, NotPowerOfTwoError, OutOfRangeError, ZeroTrialsError
-from .mc_kernel import chunk_trials, permutation_dests, resolve_batch, sample_requests
+from .mc_kernel import permutation_dests, resolve_batch, sample_requests, trial_chunks
 from .routing import Message, PermutationMap, path_table
 from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
 from .streams import Stream, check_seed, substream
@@ -205,25 +206,28 @@ def resolve_single_pass(
     return result
 
 
-def _mode_stats(mode: Mode, matured: np.ndarray, offered: int) -> ModeStats:
-    """Mean, standard error and passability of per-trial survivor counts."""
-    arr = matured.astype(float)
-    stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return ModeStats(
-        mode=mode,
-        mean_matured=float(arr.mean()),
-        stderr=stderr,
-        passability=(arr.sum() / offered) if offered else 0.0,
-    )
+def _single_pass(net: NetworkSpec, modes: Sequence[Mode], chunks: Iterable[np.ndarray]) -> tuple[ModeStats, ...]:
+    """Resolve every (trials, N) request array of `chunks` (-1 where a source
+    is idle) with resolve_batch, and return the mean, standard error and
+    passability of the per-trial survivor counts in each distinct mode, in
+    first-seen order.  The caller checks the modes."""
+    wanted = list(dict.fromkeys(modes))
+    matured: dict[Mode, list] = {m: [] for m in wanted}
+    offered = 0
+    for dests in chunks:
+        offered += int(np.count_nonzero(dests >= 0))
+        survivors = resolve_batch(net, dests, wanted)
+        for m in wanted:
+            matured[m].append(survivors[m].sum(axis=1))
+    stats = []
+    for m in wanted:
+        arr = np.concatenate(matured[m]).astype(float)
+        stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+        stats.append(ModeStats(m, float(arr.mean()), stderr, (arr.sum() / offered) if offered else 0.0))
+    return tuple(stats)
 
 
-def monte_carlo(
-    net: NetworkSpec,
-    traffic: TrafficModel,
-    modes: Sequence[Mode],
-    trials: int,
-    seed: int,
-) -> SimReport:
+def monte_carlo(net: NetworkSpec, traffic: TrafficModel, modes: Sequence[Mode], trials: int, seed: int) -> SimReport:
     """Seeded simulation of single-pass delivery under the given modes.
 
     Trial t draws everything from substream(seed, t), so results do not
@@ -235,36 +239,21 @@ def monte_carlo(
     if trials < 1:
         raise ZeroTrialsError(f"need at least one trial, got {trials}")
     check_seed(seed)
-    wanted = list(dict.fromkeys(map(check_mode, modes)))
-    perm = traffic.permutation
-    perm_dests = None if perm is None else permutation_dests(net, perm)
-    matured: dict[Mode, list] = {m: [] for m in wanted}
-    offered = 0
-    chunk = chunk_trials(net)
-    for first in range(0, trials, chunk):
-        count = min(chunk, trials - first)
-        dests = sample_requests(net, traffic.load, perm_dests, seed, first, count)
-        offered += int(np.count_nonzero(dests >= 0))
-        survivors = resolve_batch(net, dests, wanted)
-        for m in wanted:
-            matured[m].append(survivors[m].sum(axis=1))
-    stats = [_mode_stats(m, np.concatenate(matured[m]), offered) for m in wanted]
+    modes = list(map(check_mode, modes))
+    perm_dests = None if traffic.permutation is None else permutation_dests(net, traffic.permutation)
+    ranges = trial_chunks(net, trials)
+    chunks = (sample_requests(net, traffic.load, perm_dests, seed, first, stop - first) for first, stop in ranges)
     return SimReport(
-        size=net.size,
-        topology=net.topology.value,
-        load=traffic.load,
-        trials=trials,
-        seed=seed,
-        policy=POLICY,
-        modes=tuple(stats),
+        size=net.size, topology=net.topology.value, load=traffic.load, trials=trials, seed=seed, policy=POLICY,
+        modes=_single_pass(net, modes, chunks),
     )
 
 
 def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> float:
-    """Fraction of the map's requests that mature in a single pass: one
-    trial of monte_carlo at load 1, where every source of the map requests."""
-    report = monte_carlo(net, TrafficModel(permutation=perm), [mode], trials=1, seed=0)
-    return float(report.modes[0].passability)
+    """Fraction of the map's requests that mature in a single pass, resolved
+    as one trial in which every source of the map requests."""
+    stats = _single_pass(net, [check_mode(mode)], [permutation_dests(net, perm)[None]])
+    return float(stats[0].passability)
 
 
 def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
@@ -291,27 +280,18 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     """
     if trials < 1:
         raise ZeroTrialsError(f"need at least one permutation, got {trials}")
-    modes = list(dict.fromkeys([None, config.budget, 0]))
     solve = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
-    matured: dict[Mode, list] = {m: [] for m in modes}
-    histogram: dict[int, int] = {}
-    chunk = chunk_trials(net)
-    for first in range(0, trials, chunk):
-        stop = min(first + chunk, trials)
-        perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
-        survivors = resolve_batch(net, np.stack([perm.dests for perm in perms]), modes)
-        for m in modes:
-            matured[m].append(survivors[m].sum(axis=1))
-        for perm in perms:
-            passes = len(solve(net, perm, config).passes)
-            histogram[passes] = histogram.get(passes, 0) + 1
+    histogram: Counter[int] = Counter()
+
+    def chunks():
+        # a chunk is scheduled before it is yielded, so a solver's error comes before any resolving
+        for first, stop in trial_chunks(net, trials):
+            perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
+            histogram.update(len(solve(net, perm, config).passes) for perm in perms)
+            yield np.stack([perm.dests for perm in perms])
+
+    stats = _single_pass(net, [None, config.budget, 0], chunks())
     return SimReport(
-        size=net.size,
-        topology=net.topology.value,
-        load=1.0,
-        trials=trials,
-        seed=seed,
-        policy=POLICY,
-        modes=tuple(_mode_stats(m, np.concatenate(matured[m]), trials * net.size) for m in modes),
-        pass_histogram=dict(sorted(histogram.items())),
+        size=net.size, topology=net.topology.value, load=1.0, trials=trials, seed=seed, policy=POLICY,
+        modes=stats, pass_histogram=dict(sorted(histogram.items())),
     )

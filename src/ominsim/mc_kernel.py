@@ -1,11 +1,12 @@
 """Vectorised kernel: sampling and lowest-source-wins resolution for a whole
 chunk of trials at once, equal trial by trial to resolve_single_pass.
 
-monte_carlo works through its trials in chunks of CHUNK_CELLS // N trials.
-Each chunk is sampled in one pass (sample_requests) and resolved stage by
-stage across all of its trials (resolve_batch).  The random-permutation
-study resolves its permutations in chunks of the same size, and passability
-resolves its one map as a single trial:
+monte_carlo and the random-permutation study cut their trials into the
+chunks of trial_chunks, CHUNK_CELLS // N trials each, and passability hands
+its one map over as a single trial.  A chunk is sampled in one pass
+(sample_requests, or stacked permutations), and one loop, the analysis
+module's _single_pass, resolves it stage by stage across all of its
+trials (resolve_batch):
 
 * The allow sweep works in line space.  A line carries at most one live
   message, keyed source << n | destination, so each switch is one pair
@@ -48,8 +49,10 @@ CHUNK_CELLS = 1 << 16
 """Trials times input lines per chunk, which bounds the kernel's memory."""
 
 
-def chunk_trials(net: NetworkSpec) -> int:
-    return max(1, CHUNK_CELLS // net.size)
+def trial_chunks(net: NetworkSpec, trials: int) -> list[tuple[int, int]]:
+    """(first, stop) of each run of CHUNK_CELLS // N trials, the last cut short."""
+    chunk = max(1, CHUNK_CELLS // net.size)
+    return [(first, min(first + chunk, trials)) for first in range(0, trials, chunk)]
 
 
 def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:

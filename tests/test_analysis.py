@@ -180,23 +180,28 @@ class TestMonteCarlo:
 
 
 class TestRandomPermutationStudy:
+    @pytest.mark.parametrize(
+        "budget, labels",
+        [(0, ["allow", "free"]), (1, ["allow", "budget=1", "free"]), (None, ["allow", "free"])],
+        ids=["budget-0", "budget-1", "unlimited"],
+    )
     @pytest.mark.parametrize("per_chunk", [None, 3], ids=["one-chunk", "chunks-of-3"])
     @pytest.mark.parametrize("algorithm", [Algorithm.GREEDY_ORDER, Algorithm.EXACT], ids=lambda a: a.value)
     @pytest.mark.parametrize("topology", ["omega", "baseline"])
-    def test_report_matches_per_permutation_replay(self, topology, algorithm, per_chunk):
+    def test_report_matches_per_permutation_replay(self, budget, labels, topology, algorithm, per_chunk):
         net = build_network(8, topology)
-        config = ScheduleConfig(budget=1, algorithm=algorithm)
+        config = ScheduleConfig(budget=budget, algorithm=algorithm)
         solve = schedule_exact if algorithm is Algorithm.EXACT else schedule_greedy
         cells = mc_kernel.CHUNK_CELLS if per_chunk is None else per_chunk * net.size
         with mock.patch.object(mc_kernel, "CHUNK_CELLS", cells):
             report = random_permutation_study(net, 40, 5, config)
         assert (report.trials, report.seed, report.load) == (40, 5, 1.0)
-        assert [mode_label(stat.mode) for stat in report.modes] == ["allow", "budget=1", "free"]
-        matured = {None: [], 1: [], 0: []}
+        assert [mode_label(stat.mode) for stat in report.modes] == labels
+        matured = {mode: [] for mode in (None, budget, 0)}
         histogram = Counter()
         for t in range(40):
             perm = generate_random_permutation(8, substream(5, t))
-            survivors = resolve_single_pass(net, perm.pairs, budgets=[1, 0])
+            survivors = resolve_single_pass(net, perm.pairs, budgets=[budget, 0])
             for mode, values in matured.items():
                 values.append(len(survivors[mode]))
             histogram[len(solve(net, perm, config).passes)] += 1
@@ -208,6 +213,29 @@ class TestRandomPermutationStudy:
             assert stat.passability == mean / 8
             var = sum((v - mean) ** 2 for v in values) / 39
             assert stat.stderr == pytest.approx((var / 40) ** 0.5, rel=1e-12)
+
+    def test_each_chunk_scheduled_before_it_is_resolved(self, omega8):
+        """Chunk by chunk, the study resolves exactly the permutations it has
+        just scheduled, all of them."""
+        events = []
+
+        def solve(net, perm, config):
+            events.append(("solve", perm.dests.tolist()))
+            return schedule_greedy(net, perm, config)
+
+        def resolve(net, dests, modes):
+            events.append(("resolve", dests.tolist()))
+            return mc_kernel.resolve_batch(net, dests, modes)
+
+        with mock.patch.object(mc_kernel, "CHUNK_CELLS", 3 * 8), \
+                mock.patch("ominsim.analysis.schedule_greedy", solve), \
+                mock.patch("ominsim.analysis.resolve_batch", resolve):
+            random_permutation_study(omega8, 7, 2, ScheduleConfig(budget=1))
+        expected = []
+        for first, stop in [(0, 3), (3, 6), (6, 7)]:
+            rows = [generate_random_permutation(8, substream(2, t)).dests.tolist() for t in range(first, stop)]
+            expected += [("solve", row) for row in rows] + [("resolve", rows)]
+        assert events == expected
 
     def test_zero_permutations_rejected(self, omega8):
         with pytest.raises(ZeroTrialsError):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ominsim
 from ominsim import (
     NotPowerOfTwoError,
     OutOfRangeError,
@@ -37,6 +42,16 @@ def test_schedule_exact_pass_count(perm_file, capsys):
     doc = json.loads(out[: out.rindex("passes:")])
     assert doc["passes"] == [[0, 1, 7], [2, 4, 5], [3, 6]]
     assert list(doc) == ["size", "topology", "budget", "algorithm", "passes", "violations"]
+
+
+def test_python_dash_m_runs_the_cli(perm_file):
+    """`python -m ominsim` reaches cli.main; the package is found through
+    its own location, not through the caller's environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ominsim.__file__).parents[1]))
+    argv = ["schedule", "--size", "8", "--perm", perm_file, "--budget", "0", "--algorithm", "exact"]
+    done = subprocess.run([sys.executable, "-m", "ominsim", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip().endswith("passes: 3")
 
 
 def test_schedule_unlimited(perm_file, capsys):

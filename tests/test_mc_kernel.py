@@ -22,6 +22,7 @@ from ominsim import (
     full_permutation,
     make_permutation,
     monte_carlo,
+    passability,
     resolve_single_pass,
     substream,
     validate_schedule,
@@ -253,6 +254,17 @@ def test_map_outside_network_rejected(omega4):
     perm = make_permutation([Message(0, 5)], 8)
     with pytest.raises(OutOfRangeError):
         monte_carlo(omega4, TrafficModel(permutation=perm), [None], trials=2, seed=1)
+    with pytest.raises(OutOfRangeError):
+        passability(omega4, perm, None)
+
+
+def test_larger_map_inside_network_accepted(omega4):
+    """A map built for N=8 whose endpoints all lie below 4 fits N=4."""
+    messages = [Message(s, d) for s, d in enumerate([0, 2, 3, 1])]
+    perm = make_permutation(messages, 8)
+    survivors = resolve_single_pass(omega4, messages, [0])
+    assert passability(omega4, perm, None) == len(survivors[None]) / 4 == 1.0
+    assert passability(omega4, perm, 0) == len(survivors[0]) / 4 == 0.5
 
 
 def test_negative_budget_rejected(omega4):
