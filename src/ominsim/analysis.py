@@ -8,13 +8,18 @@ A "mode" names how much switch sharing a single pass tolerates:
   stages within the pass;
 * ``0``     (free)      no sharing at all, i.e. a crosstalk-free pass.
 
-Modes are resolved per trial as a chain of drop phases, each starting from
-the previous (more permissive) survivor set, so survivor sets are nested by
-construction and with/without-crosstalk comparisons are variance-free.
-Every contest keeps the lowest source.  resolve_single_pass is the Python
-reference.  monte_carlo, passability and the random-permutation study
-count survivors through one loop, _single_pass, over the vectorised
-mc_kernel.resolve_batch, which matches the reference trial by trial.
+Every trial runs one canonical chain of drop phases: allow, then budgets
+n - 1, n - 2, ... down to the lowest one requested, each pruning the
+survivors of the one before.  The requested modes only pick the rows
+reported, so a mode's survivors do not depend on the others asked for,
+survivor sets nest, and with/without-crosstalk comparisons are
+variance-free.  In a budget phase every switch of a stage decides at once,
+from the counts at the start of the stage.  A line contest keeps the lowest
+source; a budget contest drops the larger count, the higher source on a
+tie.  resolve_single_pass is the Python reference.  monte_carlo,
+passability and the random-permutation study count survivors through one
+loop, _single_pass, over the vectorised mc_kernel.resolve_batch, which
+matches the reference trial by trial.
 """
 from __future__ import annotations
 
@@ -42,7 +47,8 @@ Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budg
 def check_mode(mode: Mode) -> Mode:
     """A mode is allow (None) or a budget >= 0.  Returns the mode, so that a
     list is checked as it is passed on: resolve_batch takes modes unchecked,
-    and at -1 it would drop every contested message."""
+    and at -1 it would index its per-stage lists from the end and drop
+    messages that no rule names."""
     if mode is not None and mode < 0:
         raise OutOfRangeError(f"crosstalk budget must be >= 0, got {mode}")
     return mode
@@ -147,32 +153,29 @@ def _budget_sweep(
     start: set[int],
     budget: int,
 ) -> set[int]:
-    """Stage-by-stage enforcement of a shared-stage budget, grouping the
-    survivors by switch (out-line >> 1).
+    """Stage-by-stage enforcement of a shared-stage budget on `start`, a
+    subset of the allow survivors, grouping them by switch (out-line >> 1).
 
     A message's count is the number of stages at which it shares a switch
-    with a partner still alive.  At each contested switch the share is
-    tolerated while every occupant stays within budget; otherwise the
-    occupant with the largest count drops (the highest source on a tie),
-    and its shares stop counting for its partners.
+    with a partner still alive.  Every contested switch of a stage decides
+    once, from the counts at the start of the stage: a share within budget
+    stands; otherwise the occupant with the larger count drops (the higher
+    source on a tie), and its shares stop counting for its partners.
     """
     alive = set(start)
-    shares: dict[int, list[tuple[int, int]]] = {m: [] for m in alive}
+    shares: dict[int, list[int]] = {m: [] for m in alive}
     for stage in range(stages):
         groups: dict[int, list[int]] = {}
         for m in sorted(alive):
             groups.setdefault(outlines[m][stage] >> 1, []).append(m)
-        for switch in sorted(groups):
-            group = sorted(groups[switch], key=lambda m: requests[m].source)
-            while len(group) > 1:
-                counts = {m: len({j for j, x in shares[m] if x in alive}) + 1 for m in group}
-                if max(counts.values()) <= budget:
-                    for m in group:
-                        shares[m] += [(stage, x) for x in group if x != m]
-                    break
-                victim = max(group, key=lambda m: (counts[m], requests[m].source))
-                alive.discard(victim)
-                group.remove(victim)
+        before = set(alive)
+        for a, b in (group for group in groups.values() if len(group) == 2):
+            counts = {m: sum(x in before for x in shares[m]) + 1 for m in (a, b)}
+            if max(counts.values()) <= budget:
+                shares[a].append(b)
+                shares[b].append(a)
+            else:
+                alive.discard(max(counts, key=lambda m: (counts[m], requests[m].source)))
     return alive
 
 
@@ -184,26 +187,26 @@ def resolve_single_pass(
     """Resolve one simultaneous batch and report nested survivor sets.
 
     The allow phase keeps one message per contested line (dropped requests
-    cannot reroute, so they vanish).  Each requested budget then prunes the
-    previous phase's survivors, largest budget first, which guarantees
-    survivors(k) is a subset of survivors(k') whenever k < k'.  ``budgets``
-    are taken as resolve_batch takes its modes: None (allow) and repeats may
-    appear.  Keys of the result: None for the allow phase plus every entry
-    of ``budgets``.
+    cannot reroute, so they vanish).  Budgets n - 1, n - 2, ... down to the
+    lowest one requested then prune in turn, as the module docstring says,
+    so survivors(k) is a subset of survivors(k') whenever k < k'; a budget
+    >= n keeps the allow survivors.  ``budgets`` are taken as resolve_batch
+    takes its modes: None (allow) and repeats may appear.  Keys of the
+    result: None for the allow phase plus every entry of ``budgets``.
     """
     seen = set()
     for msg in requests:
         if msg.source in seen:
             raise DuplicateSourceError(f"source {msg.source} requested twice")
         seen.add(msg.source)
-    chain = sorted({check_mode(m) for m in budgets if m is not None}, reverse=True)
+    lowest = min((check_mode(m) for m in budgets if m is not None), default=net.stages)
     outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests]).tolist()
     alive = _allow_sweep(requests, outlines, net.stages)
-    result: dict[Mode, set[int]] = {None: set(alive)}
-    for budget in chain:
+    result: dict[Mode, set[int]] = {None: alive}
+    for budget in range(net.stages - 1, lowest - 1, -1):
         alive = _budget_sweep(requests, outlines, net.stages, alive, budget)
-        result[budget] = set(alive)
-    return result
+        result[budget] = alive
+    return {m: set(result.get(m, result[None])) for m in (None, *budgets)}
 
 
 def _single_pass(net: NetworkSpec, modes: Sequence[Mode], chunks: Iterable[np.ndarray]) -> tuple[ModeStats, ...]:

@@ -12,27 +12,23 @@ trials (resolve_batch):
   message, keyed source << n | destination, so each switch is one pair
   comparison, and of two keys bound for the same out-line the smaller one,
   the lower source, wins.
+* Budgets run as one chain, n - 1, n - 2, ... down to the lowest one
+  requested, each pruning the survivors of the one above, so a mode's mask
+  does not depend on which other modes were asked for.
 * Allow survivors never share a line, so during a budget sweep a switch
   holds at most two of them.  resolve_batch finds the switches where two
-  allow survivors meet once per chunk, for all stages in one gather, and
-  every budget sweep reads that list, keeping the pairs whose two messages
-  it still has alive.
-* The reference visits the switches in order, stage by stage, so each
-  switch has a position k * N/2 + switch.  The budget sweep records, for
-  every message, its partner at each stage and the position at which it
-  dropped (past the last position while it lives).  A message's shared
-  count at a position is the number of its partners whose drop position
-  lies beyond it, so a drop needs nothing decremented or undone.
-* A message meets one switch per stage, so at stage k (from 0) its shared
-  count is at most k and no stage below the budget can drop: there every
-  share stands.  At budget 0 every contested pair drops its higher source,
-  so that sweep keeps no counts; at budget >= 1 only the stages k >= budget
-  need the fixed point below.
-* A drop at a lower switch can lower a count at a higher switch of the
-  same stage.  Each stage therefore writes its victims' positions, reads
-  the counts again, and resets and rewrites the victims until they stop
-  changing.  A decision depends only on drops at lower switches, so the
-  fixed point is unique and equals the sequential result.
+  allow survivors meet, and each member's partner at every earlier stage,
+  once per chunk, and every budget sweep reads that list.  A message's
+  count is its number of partners still alive: one dropped by a larger
+  budget or at an earlier stage reads as dead, so nothing is decremented.
+* Every switch of a stage decides at once, from the counts at the start of
+  the stage.  A message meets one switch per stage, so the decisions of a
+  stage are independent and the order of the switches never enters.
+* At stage k (from 0) a count is at most k, and at most the number of
+  earlier stages at which the message was contested in the allow pass, its
+  hot count.  So budget b visits only the stages k >= b, and there only the
+  switches where a member's hot count reaches b.  At budget 0 no share ever
+  stands, so that sweep reads no counts.
 """
 from __future__ import annotations
 
@@ -130,55 +126,58 @@ def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.nd
     return alive, entering
 
 
-def _budget_sweep(
-    net: NetworkSpec, pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]], start: np.ndarray, budget: int
-) -> np.ndarray:
-    """Enforce a shared-stage budget on `start`, a subset of the allow survivors.
-
-    Messages are flat slots trial * (N + 1) + source.  pairs[k] holds the
-    contested switches of stage k, found once by resolve_batch, as (upper
-    slot, lower slot, switch within the trial); the sweep keeps those whose
-    two messages it still has alive.  At a contested switch the share stands
-    while both counts stay within budget; otherwise the message with the
-    larger count drops, the higher source on a tie.  A message meets one
-    switch per stage, so at stage k its count is at most k: no stage below
-    the budget can drop, and only stages k >= budget run the fixed point.
+def _contested(
+    net: NetworkSpec, alive: np.ndarray, entering: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, list[int]]]:
+    """Per stage k, the switches where two allow survivors meet: a (2,
+    switches) array of their slots; the (k, 2, switches) array of the
+    members' partners at the stages before k (slot N where they had none);
+    and for each b = 0 .. k the number of these switches whose larger hot
+    count reaches b.  The switches run in falling order of that count, so
+    the ones budget b visits come first.  Messages are flat slots
+    trial * (N + 1) + source; slot N is never alive.
     """
-    if budget == 0:
-        alive = start.copy()
-        for a, b, _ in pairs:
-            live = alive[a] & alive[b]
-            alive[np.maximum(a[live], b[live])] = False
-        return alive
-    n, half = net.stages, net.size // 2
-    # The position k * N/2 + switch at which each slot dropped: `never` while
-    # it lives, -1 outside start, which covers slot N, the "no partner".
-    never = n * half
-    dropped = np.where(start, never, -1)
-    partner = np.full((n, start.size), net.size, dtype=np.intp)
-    for k, (a, b, switch) in enumerate(pairs):
-        live = (dropped[a] == never) & (dropped[b] == never)
-        a, b, switch = a[live], b[live], switch[live]
-        if k >= budget:
-            at = k * half + switch
-            partners_a, partners_b = partner[:k, a], partner[:k, b]
-            victims = np.full(a.size, -1, dtype=np.intp)
-            # A drop at a lower switch of this stage lowers counts at higher
-            # ones: recompute the victims until they stop changing.
-            while True:
-                ca = (dropped[partners_a] > at).sum(axis=0)
-                cb = (dropped[partners_b] > at).sum(axis=0)
-                over = np.maximum(ca, cb) >= budget
-                drop_a = (ca > cb) | ((ca == cb) & (a > b))
-                update = np.where(over, np.where(drop_a, a, b), -1)
-                if np.array_equal(update, victims):
-                    break
-                dropped[victims[victims >= 0]] = never
-                victims = update
-                dropped[victims[over]] = at[over]
-            a, b = a[~over], b[~over]
-        partner[k, a], partner[k, b] = b, a
-    return dropped == never
+    n, size = net.stages, net.size
+    # Row r of `inputs` holds the two lines entering switch r % (N/2) of
+    # stage r // (trials * N/2).
+    inputs = entering.reshape(-1, 2)
+    both = alive[inputs]
+    contested = np.flatnonzero(both[:, 0] & both[:, 1])
+    pair = inputs[contested].T
+    bounds = np.searchsorted(contested, np.arange(n + 1) * (entering[0].size // 2)).tolist()
+    partner = np.full((n, alive.size), size, dtype=np.intp)
+    seen = np.zeros(alive.size, dtype=np.intp)
+    stages = []
+    for k in range(n):
+        pair_k = pair[:, bounds[k]:bounds[k + 1]]
+        hot = seen[pair_k].max(axis=0)
+        seen[pair_k] += 1
+        pair_k = pair_k[:, np.argsort(-hot)]
+        at_least = np.bincount(hot, minlength=k + 1)[::-1].cumsum()[::-1]
+        stages.append((pair_k, partner[:k, pair_k], at_least.tolist()))
+        partner[k, pair_k] = pair_k[::-1]
+    return stages
+
+
+def _budget_sweep(stages: list, start: np.ndarray, budget: int) -> np.ndarray:
+    """Enforce a shared-stage budget on `start`, a subset of the allow
+    survivors, as the module docstring describes: at a contested switch the
+    share stands while both counts stay within budget; otherwise the message
+    with the larger count drops, the higher source on a tie."""
+    alive = start.copy()
+    for pair, partners, at_least in stages[budget:]:
+        hot = at_least[budget]
+        if not hot:
+            continue
+        pair, partners = pair[:, :hot], partners[:, :, :hot]
+        live = alive[pair[0]] & alive[pair[1]]
+        # no share stands at budget 0, so there every count is 0
+        count = alive[partners].sum(axis=0) if budget else 0
+        # (count, slot) as one key: the larger key is the member that drops,
+        # and slots of one trial are ordered by source
+        worst = np.maximum(*(count * alive.size + pair))
+        alive[worst[live & (worst >= budget * alive.size)] % alive.size] = False
+    return alive
 
 
 def resolve_batch(
@@ -190,28 +189,19 @@ def resolve_batch(
     source is idle.  modes are taken as the caller holds them: None (allow)
     and repeats may appear, and every budget must be >= 0.  Returns
     (trials, N) boolean survivor masks by source, keyed by None plus every
-    requested mode; the distinct budgets run largest first, each pruning the
-    survivors of the next larger one.
+    requested mode.  Budgets n - 1, n - 2, ... down to the lowest one
+    requested run in turn, each pruning the survivors of the one above; a
+    budget >= n keeps the allow survivors.
     """
     trials, size = dests.shape
     alive, entering = _allow_sweep(net, dests)
     entering += (np.arange(trials) * (size + 1))[:, None]
-    result = {None: alive[:, :size]}
-    flat = alive.reshape(-1)
-    chain = sorted({m for m in modes if m is not None}, reverse=True)
-    if chain:
-        # Every budget sweep works on a subset of the allow survivors, so all
-        # of them read the switches where two allow survivors meet.
-        # Row r of `inputs` holds the two lines entering switch r % (N/2) of
-        # stage r // (trials * N/2).
-        inputs = entering.reshape(-1, 2)
-        both = flat[inputs]
-        contested = np.flatnonzero(both[:, 0] & both[:, 1])
-        a, b = inputs[contested].T
-        bounds = np.searchsorted(contested, np.arange(net.stages + 1) * (trials * size // 2))
-        switch = contested % (size // 2)
-        pairs = [(a[i:j], b[i:j], switch[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
-    for budget in chain:
-        flat = _budget_sweep(net, pairs, flat, budget)
-        result[budget] = flat.reshape(trials, size + 1)[:, :size]
-    return result
+    masks = {None: alive}
+    lowest = min((m for m in modes if m is not None), default=net.stages)
+    if lowest < net.stages:
+        flat = alive.reshape(-1)
+        stages = _contested(net, flat, entering)
+        for budget in range(net.stages - 1, lowest - 1, -1):
+            flat = _budget_sweep(stages, flat, budget)
+            masks[budget] = flat.reshape(trials, size + 1)
+    return {m: masks.get(m, alive)[:, :size] for m in (None, *modes)}

@@ -18,6 +18,7 @@ from ominsim import (
     Schedule,
     ScheduleConfig,
     TrafficModel,
+    analytic_bandwidth,
     build_network,
     full_permutation,
     make_permutation,
@@ -33,6 +34,7 @@ from ominsim.mc_kernel import permutation_dests, resolve_batch, sample_requests
 from .conftest import fixed_maps, networks
 
 MODES = [None, 0, 1, 2, 3]
+HUGE = 10**30  # a budget far past any int64
 
 
 def reference_requests(net, traffic, stream):
@@ -55,10 +57,15 @@ def reference_counts(net, traffic, budgets, trials, seed):
     return rows
 
 
-def kernel_counts(net, traffic, budgets, trials, seed):
+def sampled(net, traffic, seed, trials):
+    """The kernel's requests of trials 0 .. trials - 1."""
     perm = traffic.permutation
     perm_dests = None if perm is None else permutation_dests(net, perm)
-    dests = sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
+    return sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
+
+
+def kernel_counts(net, traffic, budgets, trials, seed):
+    dests = sampled(net, traffic, seed, trials)
     survivors = resolve_batch(net, dests, budgets)
     return [
         (int(np.count_nonzero(dests[t] >= 0)), {m: int(alive[t].sum()) for m, alive in survivors.items()})
@@ -127,9 +134,7 @@ def test_budget_of_at_least_stages_keeps_allow_survivors(data, net, extra, seed)
     n stages and a budget >= n never binds."""
     traffic = data.draw(traffics(net))
     budget = net.stages + extra
-    perm = traffic.permutation
-    perm_dests = None if perm is None else permutation_dests(net, perm)
-    dests = sample_requests(net, traffic.load, perm_dests, seed, 0, 4)
+    dests = sampled(net, traffic, seed, 4)
     survivors = resolve_batch(net, dests, [budget])
     assert np.array_equal(survivors[budget], survivors[None])
     for trial in range(4):
@@ -138,19 +143,22 @@ def test_budget_of_at_least_stages_keeps_allow_survivors(data, net, extra, seed)
         assert reference[budget] == reference[None]
 
 
-def test_lower_switch_drop_flips_higher_switch_decision():
-    """Omega N=8, budget 1.  Every message shares its stage-1 switch, so all
-    counts are 1.  At stage 2, switch 0 holds sources 4 and 6, which tie, so
-    6 drops and its stage-1 share with source 2 dissolves.  Switch 1 holds
-    sources 0 (count 1) and 2 (count now 0), so 0 drops alone.  With counts
-    frozen at the start of the stage, 0 and 2 would tie and 2 would drop."""
+def test_stage_decides_from_counts_at_its_start():
+    """Omega N=8.  Every message shares its switch at stages 0 and 1, so the
+    four switches of stage 2 each hold two messages of count 2, and
+    budget=2 drops the higher source at each: 1, 4, 6 and 7.  Deciding switch
+    by switch in ascending order would let 6's drop at switch 0 lower 4's
+    count before switch 1 decides, and drop 3 there instead.  Every earlier
+    partner of the four survivors is gone, so budget=1 keeps them, and free
+    drops 2 and 5, where they meet 0 and 3 at stage 1."""
     net = build_network(8, "omega")
     dests = [4, 5, 7, 3, 2, 0, 1, 6]
+    expected = {None: list(range(8)), 2: [0, 2, 3, 5], 1: [0, 2, 3, 5], 0: [0, 3]}
     perm = full_permutation(net, dests)
-    reference = resolve_single_pass(net, perm.pairs, budgets=[1])[1]
-    assert sorted(reference) == [1, 2, 3, 4]
-    kernel = resolve_batch(net, np.array([dests]), [1])[1]
-    assert np.flatnonzero(kernel[0]).tolist() == [1, 2, 3, 4]
+    reference = resolve_single_pass(net, perm.pairs, budgets=[2, 1, 0])
+    assert {m: sorted(v) for m, v in reference.items()} == expected
+    kernel = resolve_batch(net, np.array([dests]), [2, 1, 0])
+    assert {m: np.flatnonzero(v[0]).tolist() for m, v in kernel.items()} == expected
 
 
 @pytest.mark.parametrize("topology", ["omega", "baseline"])
@@ -174,30 +182,59 @@ def test_full_permutations_passing_in_one_pass(topology, size, passing):
             assert all(len(survivors[budget]) < size for budget in budgets)
 
 
-@pytest.mark.parametrize("topology", ["omega", "baseline"])
-def test_batch_takes_modes_as_held(topology):
-    """None and repeats may appear among the modes: the masks are those of
-    the distinct budgets, keyed by None plus every mode asked for.  The
+@settings(max_examples=60, deadline=None)
+@given(st.data(), networks(), chains, seeds)
+def test_batch_takes_modes_as_held(data, net, modes, seed):
+    """None and repeats may appear among the modes, and each mode's mask is
+    the same whatever else is asked for: the masks are keyed by None plus
+    every mode, and a budget of 10**30 keeps the allow survivors.  The
     reference takes its budgets the same way."""
-    net = build_network(16, topology)
-    dests = sample_requests(net, 1.0, None, 7, 0, 50)
-    held = resolve_batch(net, dests, [None, 0, 1, 0])
-    plain = resolve_batch(net, dests, [1, 0])
-    assert held.keys() == plain.keys() == {None, 0, 1}
-    for mode, alive in plain.items():
-        assert np.array_equal(held[mode], alive)
-    for row in dests[:10]:
-        requests = [Message(s, int(d)) for s, d in enumerate(row)]
-        assert resolve_single_pass(net, requests, [None, 0, 1, 0]) == resolve_single_pass(net, requests, [1, 0])
+    traffic = data.draw(traffics(net))
+    dests = sampled(net, traffic, seed, 4)
+    held = resolve_batch(net, dests, modes + [HUGE])
+    assert held.keys() == {None, HUGE, *modes}
+    assert np.array_equal(held[HUGE], held[None])
+    for mode in modes:
+        assert np.array_equal(held[mode], resolve_batch(net, dests, [mode])[mode])
+    for row in dests:
+        requests = [Message(s, int(d)) for s, d in enumerate(row) if d >= 0]
+        reference = resolve_single_pass(net, requests, modes + [HUGE])
+        assert reference[HUGE] == reference[None]
+        for mode in modes:
+            assert reference[mode] == resolve_single_pass(net, requests, [mode])[mode]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), networks(), seeds)
+def test_destination_xor_keeps_every_survivor(data, net, seed):
+    """XOR-ing every destination with one constant c maps the network onto
+    itself: each stage's routing bit flips for every message alike, so the
+    same messages meet on the same lines and switches.  Contests look only
+    at sources and counts, so no mode's survivors change."""
+    traffic = data.draw(traffics(net))
+    c = data.draw(st.integers(min_value=1, max_value=net.size - 1))
+    dests = sampled(net, traffic, seed, 4)
+    moved = np.where(dests >= 0, dests ^ c, -1)
+    modes = [None, *range(net.stages)]
+    kernel, kernel_moved = resolve_batch(net, dests, modes), resolve_batch(net, moved, modes)
+    for mode in modes:
+        assert np.array_equal(kernel[mode], kernel_moved[mode]), mode
+    for row, moved_row in zip(dests, moved):
+        requests = [[Message(s, int(d)) for s, d in enumerate(r) if d >= 0] for r in (row, moved_row)]
+        assert resolve_single_pass(net, requests[0], modes) == resolve_single_pass(net, requests[1], modes)
 
 
 # Per mode, survivors: maps over all 40,320 full N=8 maps.  Allow and
 # budget=2 are the same on both topologies.
 ALLOW_8 = {2: 128, 3: 512, 4: 6912, 5: 12288, 6: 16384, 8: 4096}
-BUDGET2_8 = {2: 128, 3: 512, 4: 21248, 5: 16384, 6: 2048}
+BUDGET2_8 = {2: 128, 3: 512, 4: 25344, 5: 12288, 6: 2048}
 SURVIVORS_8 = {
-    "omega": {None: ALLOW_8, 2: BUDGET2_8, 1: {2: 128, 3: 1536, 4: 38656}, 0: {2: 3840, 3: 20224, 4: 16256}},
-    "baseline": {None: ALLOW_8, 2: BUDGET2_8, 1: {2: 128, 3: 2560, 4: 37632}, 0: {2: 4992, 3: 21504, 4: 13824}},
+    "omega": {
+        None: ALLOW_8, 2: BUDGET2_8, 1: {2: 384, 3: 3584, 4: 36352}, 0: {1: 128, 2: 4992, 3: 20736, 4: 14464},
+    },
+    "baseline": {
+        None: ALLOW_8, 2: BUDGET2_8, 1: {2: 4224, 3: 2560, 4: 33536}, 0: {1: 4096, 2: 4992, 3: 19456, 4: 11776},
+    },
 }
 
 
@@ -205,13 +242,57 @@ SURVIVORS_8 = {
 def test_exhaustive_n8_survivor_distribution(topology):
     """Every full N=8 map through the chain 2, 1, 0: the number of maps with
     each survivor count, per mode, equals a table derived once from
-    resolve_single_pass, which takes about 6 s per topology against about
+    resolve_single_pass, which takes about 7 s per topology against about
     0.1 s here."""
     net = build_network(8, topology)
     dests = np.array(list(permutations(range(8))))
     for mode, alive in resolve_batch(net, dests, [2, 1, 0]).items():
         counts, maps = np.unique(alive.sum(axis=1), return_counts=True)
         assert dict(zip(counts.tolist(), maps.tolist())) == SURVIVORS_8[topology][mode], mode
+
+
+# Survivor totals over every uniform load-1 pattern at N=4 (4^4 of them),
+# and at N=8 over the 8^7 patterns in which source 0 is bound for 0.
+EXACT = {
+    ("omega", 4): {None: 624, 1: 496, 0: 448},
+    ("baseline", 4): {None: 624, 1: 496, 0: 416},
+    ("omega", 8): {None: 8_666_112, 2: 8_110_240, 1: 7_031_168, 0: 5_957_376},
+    ("baseline", 8): {None: 8_666_112, 2: 8_084_992, 1: 6_736_384, 0: 5_641_728},
+}
+
+
+def uniform_patterns(size, free, chunk=1 << 16):
+    """Every request array in which sources size - free .. size - 1 each pick
+    any destination and the others are bound for 0, in chunks of rows."""
+    n = size.bit_length() - 1
+    for first in range(0, size**free, chunk):
+        index = np.arange(first, min(first + chunk, size**free))
+        dests = np.zeros((index.size, size), dtype=np.int64)
+        for j in range(free):
+            dests[:, size - free + j] = (index >> (n * j)) & (size - 1)
+        yield dests
+
+
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+@pytest.mark.parametrize("size", [4, 8])
+def test_exact_single_pass_bandwidth(topology, size):
+    """Exact expected survivors per mode at uniform load 1.  XOR-ing every
+    destination with c keeps every survivor, and each XOR orbit holds one
+    pattern with source 0 bound for 0, so at N=8 the 8^7 such patterns give
+    the exact means.  Allow equals Patel's recurrence exactly; Monte Carlo
+    means lie within 4 stderr of the exact ones."""
+    net = build_network(size, topology)
+    free = size if size == 4 else size - 1
+    modes = list(range(net.stages))
+    totals = dict.fromkeys([None, *modes], 0)
+    for dests in uniform_patterns(size, free):
+        for mode, alive in resolve_batch(net, dests, modes).items():
+            totals[mode] += int(alive.sum())
+    assert totals == EXACT[topology, size]
+    exact = {mode: total / size**free for mode, total in totals.items()}
+    assert exact[None] == analytic_bandwidth(net.stages, 1.0).bandwidth
+    for stat in monte_carlo(net, TrafficModel(), [None, *modes], trials=4000, seed=17).modes:
+        assert abs(stat.mean_matured - exact[stat.mode]) <= 4 * stat.stderr, stat
 
 
 def test_monte_carlo_rows_in_first_seen_order(omega8):
