@@ -5,7 +5,7 @@ plot-ready CSV table to stdout.
 """
 import argparse
 
-from ominsim import TrafficModel, analytic_bandwidth, build_network, monte_carlo
+from ominsim import analytic_bandwidth, build_network, monte_carlo
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
         size = int(token)
         net = build_network(size, "omega")
         curve = analytic_bandwidth(net.stages, args.load)
-        report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
+        report = monte_carlo(net, args.load, modes, args.trials, args.seed)
         by_mode = {stat.mode: stat.mean_matured for stat in report.modes}
         print(
             f"{size},{curve.bandwidth:.6g},{by_mode[None]:.6g},"

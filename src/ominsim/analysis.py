@@ -63,23 +63,6 @@ def mode_label(mode: Mode) -> str:
 
 
 @dataclass(frozen=True)
-class TrafficModel:
-    """Offered traffic: per-cycle request probability and destination choice.
-
-    With ``permutation`` unset each active input draws an independent uniform
-    destination; otherwise requests follow the fixed map, restricted to the
-    sources that woke up this cycle.
-    """
-
-    load: float = 1.0
-    permutation: PermutationMap | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.load <= 1.0:
-            raise OutOfRangeError(f"load must lie in [0, 1], got {self.load}")
-
-
-@dataclass(frozen=True)
 class BandwidthCurve:
     size: int
     load: float
@@ -146,15 +129,28 @@ def _allow_sweep(requests: Sequence[Message], outlines: list[list[int]], stages:
     return alive
 
 
+def _switch_pairs(outlines: list[list[int]], stages: int, alive: set[int]) -> list[list[tuple[int, int]]]:
+    """Per stage, the pairs of `alive` messages that meet at one switch
+    (out-line >> 1).  Allow survivors never share a line, so a switch holds
+    at most two of them."""
+    pairs = []
+    for stage in range(stages):
+        groups: dict[int, list[int]] = {}
+        for m in sorted(alive):
+            groups.setdefault(outlines[m][stage] >> 1, []).append(m)
+        pairs.append([tuple(group) for group in groups.values() if len(group) == 2])
+    return pairs
+
+
 def _budget_sweep(
     requests: Sequence[Message],
-    outlines: list[list[int]],
-    stages: int,
+    pairs: list[list[tuple[int, int]]],
     start: set[int],
     budget: int,
 ) -> set[int]:
     """Stage-by-stage enforcement of a shared-stage budget on `start`, a
-    subset of the allow survivors, grouping them by switch (out-line >> 1).
+    subset of the allow survivors, whose switch pairs per stage are `pairs`;
+    a pair with a member no longer alive is no contest.
 
     A message's count is the number of stages at which it shares a switch
     with a partner still alive.  Every contested switch of a stage decides
@@ -164,12 +160,11 @@ def _budget_sweep(
     """
     alive = set(start)
     shares: dict[int, list[int]] = {m: [] for m in alive}
-    for stage in range(stages):
-        groups: dict[int, list[int]] = {}
-        for m in sorted(alive):
-            groups.setdefault(outlines[m][stage] >> 1, []).append(m)
+    for stage_pairs in pairs:
         before = set(alive)
-        for a, b in (group for group in groups.values() if len(group) == 2):
+        for a, b in stage_pairs:
+            if a not in before or b not in before:
+                continue
             counts = {m: sum(x in before for x in shares[m]) + 1 for m in (a, b)}
             if max(counts.values()) <= budget:
                 shares[a].append(b)
@@ -203,8 +198,9 @@ def resolve_single_pass(
     outlines = path_table(net, [m.source for m in requests], [m.destination for m in requests]).tolist()
     alive = _allow_sweep(requests, outlines, net.stages)
     result: dict[Mode, set[int]] = {None: alive}
+    pairs = _switch_pairs(outlines, net.stages, alive) if lowest < net.stages else []
     for budget in range(net.stages - 1, lowest - 1, -1):
-        alive = _budget_sweep(requests, outlines, net.stages, alive, budget)
+        alive = _budget_sweep(requests, pairs, alive, budget)
         result[budget] = alive
     return {m: set(result.get(m, result[None])) for m in (None, *budgets)}
 
@@ -230,8 +226,9 @@ def _single_pass(net: NetworkSpec, modes: Sequence[Mode], chunks: Iterable[np.nd
     return tuple(stats)
 
 
-def monte_carlo(net: NetworkSpec, traffic: TrafficModel, modes: Sequence[Mode], trials: int, seed: int) -> SimReport:
-    """Seeded simulation of single-pass delivery under the given modes.
+def monte_carlo(net: NetworkSpec, load: float, modes: Sequence[Mode], trials: int, seed: int) -> SimReport:
+    """Seeded simulation of single-pass delivery under the given modes, with
+    each input requesting a uniform random destination with probability load.
 
     Trial t draws everything from substream(seed, t), so results do not
     depend on execution order and rerunning with the same arguments is
@@ -239,15 +236,16 @@ def monte_carlo(net: NetworkSpec, traffic: TrafficModel, modes: Sequence[Mode], 
     vectorised kernel (mc_kernel), which matches resolve_single_pass trial
     by trial.
     """
+    if not 0.0 <= load <= 1.0:
+        raise OutOfRangeError(f"load must lie in [0, 1], got {load}")
     if trials < 1:
         raise ZeroTrialsError(f"need at least one trial, got {trials}")
     check_seed(seed)
     modes = list(map(check_mode, modes))
-    perm_dests = None if traffic.permutation is None else permutation_dests(net, traffic.permutation)
     ranges = trial_chunks(net, trials)
-    chunks = (sample_requests(net, traffic.load, perm_dests, seed, first, stop - first) for first, stop in ranges)
+    chunks = (sample_requests(net, load, seed, first, stop - first) for first, stop in ranges)
     return SimReport(
-        size=net.size, topology=net.topology.value, load=traffic.load, trials=trials, seed=seed, policy=POLICY,
+        size=net.size, topology=net.topology.value, load=load, trials=trials, seed=seed, policy=POLICY,
         modes=_single_pass(net, modes, chunks),
     )
 

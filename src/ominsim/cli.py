@@ -17,7 +17,6 @@ import numpy as np
 
 from .analysis import (
     Mode,
-    TrafficModel,
     analytic_bandwidth,
     check_mode,
     mode_label,
@@ -161,7 +160,7 @@ def _bandwidth_rows(args) -> list[dict]:
             passability = _jnum(curve.stage_probabilities[-1] / args.load) if args.load else 0.0
             results = [("analytic", 0, _jnum(curve.bandwidth), 0, passability)]
         else:
-            report = monte_carlo(net, TrafficModel(load=args.load), modes, args.trials, args.seed)
+            report = monte_carlo(net, args.load, modes, args.trials, args.seed)
             results = [
                 (mode_label(s.mode), args.trials, _jnum(s.mean_matured), _jnum(s.stderr), _jnum(s.passability))
                 for s in report.modes

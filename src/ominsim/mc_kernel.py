@@ -4,9 +4,9 @@ chunk of trials at once, equal trial by trial to resolve_single_pass.
 monte_carlo and the random-permutation study cut their trials into the
 chunks of trial_chunks, CHUNK_CELLS // N trials each, and passability hands
 its one map over as a single trial.  A chunk is sampled in one pass
-(sample_requests, or stacked permutations), and one loop, the analysis
-module's _single_pass, resolves it stage by stage across all of its
-trials (resolve_batch):
+(sample_requests draws uniform requests at a load; the study stacks
+random permutations), and one loop, the analysis module's _single_pass,
+resolves it stage by stage across all of its trials (resolve_batch):
 
 * The allow sweep works in line space.  A line carries at most one live
   message, keyed source << n | destination, so each switch is one pair
@@ -64,31 +64,21 @@ def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:
     return dests
 
 
-def sample_requests(
-    net: NetworkSpec,
-    load: float,
-    perm_dests: np.ndarray | None,
-    seed: int,
-    first: int,
-    count: int,
-) -> np.ndarray:
-    """Requests of trials first .. first + count - 1, drawn as documented.
+def sample_requests(net: NetworkSpec, load: float, seed: int, first: int, count: int) -> np.ndarray:
+    """Uniform requests of trials first .. first + count - 1, drawn as documented.
 
-    Draws 1 .. N are the input lines' Bernoulli(load) draws.  With uniform
-    traffic (perm_dests None) draw N + 1 + r is the destination of the r-th
-    active line: N is a power of two, so below(N) never rejects and keeps
-    the draw's low n bits.  Returns a (count, N) array of each source's
-    destination, -1 when idle.
+    Draws 1 .. N are the input lines' Bernoulli(load) draws, and draw
+    N + 1 + r is the destination of the r-th active line: N is a power of
+    two, so below(N) never rejects and keeps the draw's low n bits.  Returns
+    a (count, N) array of each source's destination, -1 when idle.
     """
     size = net.size
-    draws = stream_draws(trial_states(seed, first, count), size if perm_dests is not None else 2 * size)
+    draws = stream_draws(trial_states(seed, first, count), 2 * size)
     threshold = int(load * (1 << 64))
     if threshold > MASK64:
         active = np.ones((count, size), dtype=bool)
     else:
         active = draws[:, :size] < np.uint64(threshold)
-    if perm_dests is not None:
-        return np.where(active, perm_dests, -1)
     rank = np.maximum(np.cumsum(active, axis=1) - 1, 0)
     picks = np.take_along_axis(draws[:, size:], rank, axis=1) & np.uint64(size - 1)
     return np.where(active, picks.astype(np.int64), -1)

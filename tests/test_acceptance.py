@@ -14,7 +14,6 @@ from ominsim import (
     Message,
     ScheduleConfig,
     Topology,
-    TrafficModel,
     build_network,
     conflict_stages,
     full_permutation,
@@ -136,7 +135,7 @@ def test_criterion_5_analytic_bandwidth():
         assert values == sorted(values)
 
         net = build_network(16, Topology.OMEGA)
-        report = monte_carlo(net, TrafficModel(load=1.0), [None, 2, 1, 0], trials=2000, seed=77)
+        report = monte_carlo(net, 1.0, [None, 2, 1, 0], trials=2000, seed=77)
         means = [stat.mean_matured for stat in report.modes]
         assert means[0] >= means[1] >= means[2] >= means[3]
 
@@ -191,7 +190,7 @@ def test_criterion_7_exhaustive_oracle_n4():
         exact_mean = total / 4**4
 
         net = build_network(4, Topology.OMEGA)
-        report = monte_carlo(net, TrafficModel(load=1.0), [None], trials=100_000, seed=31415)
+        report = monte_carlo(net, 1.0, [None], trials=100_000, seed=31415)
         stat = report.modes[0]
         assert abs(stat.mean_matured - exact_mean) <= 3 * stat.stderr, (
             stat.mean_matured,

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from unittest import mock
 
@@ -12,7 +13,6 @@ from ominsim import (
     OutOfRangeError,
     ScheduleConfig,
     Topology,
-    TrafficModel,
     ZeroTrialsError,
     analytic_bandwidth,
     build_network,
@@ -143,40 +143,42 @@ class TestPassability:
 
 class TestMonteCarlo:
     def test_zero_load_means_zero_matured(self, omega4):
-        report = monte_carlo(omega4, TrafficModel(load=0.0), [None], trials=100, seed=1)
+        report = monte_carlo(omega4, 0.0, [None], trials=100, seed=1)
         assert report.modes[0].mean_matured == 0.0
         assert report.modes[0].passability == 0.0
 
     def test_zero_trials_rejected(self, omega4):
         with pytest.raises(ZeroTrialsError):
-            monte_carlo(omega4, TrafficModel(), [None], trials=0, seed=1)
+            monte_carlo(omega4, 1.0, [None], trials=0, seed=1)
 
     def test_determinism(self, omega8):
-        a = monte_carlo(omega8, TrafficModel(load=0.7), [None, 1, 0], trials=300, seed=42)
-        b = monte_carlo(omega8, TrafficModel(load=0.7), [None, 1, 0], trials=300, seed=42)
+        a = monte_carlo(omega8, 0.7, [None, 1, 0], trials=300, seed=42)
+        b = monte_carlo(omega8, 0.7, [None, 1, 0], trials=300, seed=42)
         assert a == b
 
     def test_mode_means_follow_budget_order(self, omega8):
-        report = monte_carlo(omega8, TrafficModel(), [None, 2, 1, 0], trials=500, seed=3)
+        report = monte_carlo(omega8, 1.0, [None, 2, 1, 0], trials=500, seed=3)
         means = [stat.mean_matured for stat in report.modes]
         assert means == sorted(means, reverse=True)
 
-    def test_fixed_permutation_traffic(self, omega8, showcase):
-        report = monte_carlo(omega8, TrafficModel(permutation=showcase), [None], trials=50, seed=9)
-        assert report.modes[0].mean_matured == 8.0
-        assert report.modes[0].passability == 1.0
-
     def test_stderr_scales_with_root_trials(self, omega4):
         errors = [
-            monte_carlo(omega4, TrafficModel(), [None], trials=t, seed=99).modes[0].stderr
+            monte_carlo(omega4, 1.0, [None], trials=t, seed=99).modes[0].stderr
             for t in (1_000, 10_000, 100_000)
         ]
         assert 2.5 < errors[0] / errors[1] < 4.0
         assert 2.5 < errors[1] / errors[2] < 4.0
 
-    def test_bad_load_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            TrafficModel(load=-0.1)
+    @pytest.mark.parametrize("load", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_bad_load_rejected(self, omega4, load):
+        """The load is checked first, so a bad load's error comes before a
+        bad trial count's; NaN fails the range test too."""
+        with pytest.raises(OutOfRangeError, match=re.escape(f"load must lie in [0, 1], got {load}")):
+            monte_carlo(omega4, load, [None], trials=0, seed=1)
+
+    @pytest.mark.parametrize("load", [0.0, 1.0])
+    def test_closed_load_range_accepted(self, omega4, load):
+        assert monte_carlo(omega4, load, [None], trials=2, seed=1).load == load
 
 
 class TestRandomPermutationStudy:

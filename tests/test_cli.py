@@ -12,7 +12,6 @@ import ominsim
 from ominsim import (
     NotPowerOfTwoError,
     OutOfRangeError,
-    TrafficModel,
     build_network,
     format_permutation,
     make_permutation,
@@ -293,13 +292,22 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
             ["bandwidth", "--sizes", "8", "--crosstalk", "bogus"],
             "error: bad crosstalk mode 'bogus': expected allow, free, or budget=K\n",
         ),
+        (["bandwidth", "--sizes", "8", "--mode", "simulate", "--load", "nan"], "error: load must lie in [0, 1], got nan\n"),
+        (
+            ["bandwidth", "--sizes", "8", "--mode", "simulate", "--load", "2", "--trials", "0"],
+            "error: load must lie in [0, 1], got 2.0\n",
+        ),
     ],
-    ids=["schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms", "analytic-crosstalk"],
+    ids=[
+        "schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms", "analytic-crosstalk", "nan-load",
+        "load-before-trials",
+    ],
 )
 def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
     """Each count, budget or mode has one check, in the library or the
     parser, and its error is the only line written: `--crosstalk` is
-    checked in analytic mode too, though only simulate reads it."""
+    checked in analytic mode too, though only simulate reads it, and a bad
+    load, NaN included, is reported before a bad trial count."""
     assert run([perm_file if a == "PERM" else a for a in argv]) == 2
     assert capsys.readouterr() == ("", err)
 
@@ -312,7 +320,7 @@ def test_negative_crosstalk_budget_has_one_message(load, capsys):
     assert run(argv + load) == 2
     assert capsys.readouterr().err == "error: crosstalk budget must be >= 0, got -1\n"
     with pytest.raises(OutOfRangeError, match=r"^crosstalk budget must be >= 0, got -1$"):
-        monte_carlo(build_network(8, "omega"), TrafficModel(), [None, -1], trials=2, seed=1)
+        monte_carlo(build_network(8, "omega"), 1.0, [None, -1], trials=2, seed=1)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

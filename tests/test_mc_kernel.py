@@ -17,7 +17,6 @@ from ominsim import (
     OutOfRangeError,
     Schedule,
     ScheduleConfig,
-    TrafficModel,
     analytic_bandwidth,
     build_network,
     full_permutation,
@@ -38,11 +37,13 @@ HUGE = 10**30  # a budget far past any int64
 
 
 def reference_requests(net, traffic, stream):
-    """One Bernoulli(load) per input line, then one destination per active
-    line for uniform traffic, or the map's requests of the active lines."""
-    active = [stream.bernoulli(traffic.load) for _ in range(net.size)]
-    if traffic.permutation is not None:
-        return [msg for msg in traffic.permutation.pairs if active[msg.source]]
+    """traffic is (load, map or None).  One Bernoulli(load) per input line,
+    then one destination per active line for uniform traffic, or the map's
+    requests of the active lines."""
+    load, perm = traffic
+    active = [stream.bernoulli(load) for _ in range(net.size)]
+    if perm is not None:
+        return [msg for msg in perm.pairs if active[msg.source]]
     return [Message(s, stream.below(net.size)) for s in range(net.size) if active[s]]
 
 
@@ -58,10 +59,12 @@ def reference_counts(net, traffic, budgets, trials, seed):
 
 
 def sampled(net, traffic, seed, trials):
-    """The kernel's requests of trials 0 .. trials - 1."""
-    perm = traffic.permutation
-    perm_dests = None if perm is None else permutation_dests(net, perm)
-    return sample_requests(net, traffic.load, perm_dests, seed, 0, trials)
+    """The kernel's requests of trials 0 .. trials - 1.  A map's rows keep
+    the sources whose activity draws, 1 .. N, came up, as the reference's
+    do."""
+    load, perm = traffic
+    dests = sample_requests(net, load, seed, 0, trials)
+    return dests if perm is None else np.where(dests >= 0, permutation_dests(net, perm), -1)
 
 
 def kernel_counts(net, traffic, budgets, trials, seed):
@@ -93,7 +96,7 @@ seeds = st.integers(min_value=0, max_value=(1 << 64) - 1)
 def traffics(draw, net):
     load = draw(loads)
     perm = draw(st.one_of(st.none(), fixed_maps(net)))
-    return TrafficModel(load=load, permutation=perm)
+    return load, perm
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,10 +112,10 @@ def test_kernel_matches_reference_trial_by_trial(data, net, modes, trials, seed)
     st.integers(min_value=1, max_value=5), seeds,
 )
 def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials, per_chunk, seed):
-    traffic = data.draw(traffics(net))
-    rows = reference_counts(net, traffic, modes, trials, seed)
+    load = data.draw(loads)
+    rows = reference_counts(net, (load, None), modes, trials, seed)
     with mock.patch.object(mc_kernel, "CHUNK_CELLS", per_chunk * net.size):
-        report = monte_carlo(net, traffic, modes, trials, seed)
+        report = monte_carlo(net, load, modes, trials, seed)
     assert_report_matches(report, rows, modes)
 
 
@@ -120,10 +123,11 @@ def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials,
 @pytest.mark.parametrize("budgets", [[1, 0], [0], [2, 1, 0], [3], list(range(8))], ids=str)
 def test_workload_shaped_batch(topology, budgets):
     """n = 8 stages: a free sweep straight from the allow survivors, budgets
-    whose stages below the budget need no fixed point, chains that read one
-    pair list, and the full chain of every budget 0 .. n - 1."""
+    that skip the stages below them (at stage k a count is at most k),
+    chains that read one pair list, and the full chain of every budget
+    0 .. n - 1."""
     net = build_network(256, topology)
-    traffic = TrafficModel(load=1.0)
+    traffic = (1.0, None)
     assert kernel_counts(net, traffic, budgets, 20, 0x5EED) == reference_counts(net, traffic, budgets, 20, 0x5EED)
 
 
@@ -291,16 +295,15 @@ def test_exact_single_pass_bandwidth(topology, size):
     assert totals == EXACT[topology, size]
     exact = {mode: total / size**free for mode, total in totals.items()}
     assert exact[None] == analytic_bandwidth(net.stages, 1.0).bandwidth
-    for stat in monte_carlo(net, TrafficModel(), [None, *modes], trials=4000, seed=17).modes:
+    for stat in monte_carlo(net, 1.0, [None, *modes], trials=4000, seed=17).modes:
         assert abs(stat.mean_matured - exact[stat.mode]) <= 4 * stat.stderr, stat
 
 
 def test_monte_carlo_rows_in_first_seen_order(omega8):
     """Repeated and reordered modes give one row per distinct mode, in the
     order first asked for, with the statistics of the distinct request."""
-    traffic = TrafficModel(load=0.8)
-    repeated = monte_carlo(omega8, traffic, [0, None, 0, 1], trials=40, seed=9)
-    distinct = {s.mode: s for s in monte_carlo(omega8, traffic, [None, 1, 0], trials=40, seed=9).modes}
+    repeated = monte_carlo(omega8, 0.8, [0, None, 0, 1], trials=40, seed=9)
+    distinct = {s.mode: s for s in monte_carlo(omega8, 0.8, [None, 1, 0], trials=40, seed=9).modes}
     assert [s.mode for s in repeated.modes] == [0, None, 1]
     assert list(repeated.modes) == [distinct[0], distinct[None], distinct[1]]
 
@@ -321,20 +324,17 @@ def test_survivors_pass_validate_schedule_as_one_pass(data, net, modes):
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_out_of_range_seed_rejected(omega8, seed):
     with pytest.raises(OutOfRangeError):
-        monte_carlo(omega8, TrafficModel(), [None], trials=3, seed=seed)
+        monte_carlo(omega8, 1.0, [None], trials=3, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
 def test_extreme_seeds_match_reference(omega8, seed):
-    traffic = TrafficModel(load=0.6)
-    rows = reference_counts(omega8, traffic, [1, 0], 30, seed)
-    assert_report_matches(monte_carlo(omega8, traffic, [None, 1, 0], 30, seed), rows, [None, 1, 0])
+    rows = reference_counts(omega8, (0.6, None), [1, 0], 30, seed)
+    assert_report_matches(monte_carlo(omega8, 0.6, [None, 1, 0], 30, seed), rows, [None, 1, 0])
 
 
 def test_map_outside_network_rejected(omega4):
     perm = make_permutation([Message(0, 5)], 8)
-    with pytest.raises(OutOfRangeError):
-        monte_carlo(omega4, TrafficModel(permutation=perm), [None], trials=2, seed=1)
     with pytest.raises(OutOfRangeError):
         passability(omega4, perm, None)
 
@@ -350,4 +350,4 @@ def test_larger_map_inside_network_accepted(omega4):
 
 def test_negative_budget_rejected(omega4):
     with pytest.raises(OutOfRangeError):
-        monte_carlo(omega4, TrafficModel(), [None, -1], trials=2, seed=1)
+        monte_carlo(omega4, 1.0, [None, -1], trials=2, seed=1)
