@@ -117,16 +117,17 @@ def analytic_bandwidth(stages: int, load: float) -> BandwidthCurve:
 
 
 def _allow_sweep(requests: Sequence[Message], outlines: list[list[int]], stages: int) -> set[int]:
-    """Drop all but one of every group contesting an output line, stage by stage."""
-    alive = set(range(len(requests)))
+    """Drop all but the lowest source of every group contesting an output
+    line, stage by stage: with the requests in source order, the first
+    arrival on each line stays."""
+    live = sorted(range(len(requests)), key=lambda m: requests[m].source)
     for stage in range(stages):
-        groups: dict[int, list[int]] = {}
-        for m in sorted(alive):
-            groups.setdefault(outlines[m][stage], []).append(m)
-        for line in sorted(groups):
-            group = sorted(groups[line], key=lambda m: requests[m].source)
-            alive.difference_update(group[1:])
-    return alive
+        first: dict[int, int] = {}
+        for m in live:
+            first.setdefault(outlines[m][stage], m)
+        # a dict keeps its keys in insertion order, so the survivors stay in source order
+        live = list(first.values())
+    return set(live)
 
 
 def _switch_pairs(outlines: list[list[int]], stages: int, alive: set[int]) -> list[list[tuple[int, int]]]:

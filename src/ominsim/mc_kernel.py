@@ -9,9 +9,14 @@ random permutations), and one loop, the analysis module's _single_pass,
 resolves it stage by stage across all of its trials (resolve_batch):
 
 * The allow sweep works in line space.  A line carries at most one live
-  message, keyed source << n | destination, so each switch is one pair
-  comparison, and of two keys bound for the same out-line the smaller one,
-  the lower source, wins.
+  message, keyed source << n | destination, and an empty line the key
+  N << n, the empty bit 2n alone, above every message's.  At stage k a
+  shift moves each key's routing bit, destination bit n - 1 - k, up to the
+  empty bit (an empty key has none there): the maximum of the key and that
+  bit is its bid for out-port 0, and with the bit flipped its bid for
+  out-port 1, the empty key for the port it is not bound for.  Every
+  out-line takes the smaller bid of its switch, one np.minimum per
+  out-port, so of two keys bound for it the lower source wins.
 * Budgets run as one chain, n - 1, n - 2, ... down to the lowest one
   requested, each pruning the survivors of the one above, so a mode's mask
   does not depend on which other modes were asked for.
@@ -38,7 +43,7 @@ import numpy as np
 
 from .errors import OutOfRangeError
 from .routing import PermutationMap, first_outside
-from .streams import MASK64, stream_draws, trial_states
+from .streams import _GOLDEN, MASK64, stream_draws, trial_states
 from .topology import NetworkSpec, wiring
 
 CHUNK_CELLS = 1 << 16
@@ -69,16 +74,19 @@ def sample_requests(net: NetworkSpec, load: float, seed: int, first: int, count:
 
     Draws 1 .. N are the input lines' Bernoulli(load) draws, and draw
     N + 1 + r is the destination of the r-th active line: N is a power of
-    two, so below(N) never rejects and keeps the draw's low n bits.  Returns
-    a (count, N) array of each source's destination, -1 when idle.
+    two, so below(N) never rejects and keeps the draw's low n bits.  At
+    load 1 every line is active, so draws 1 .. N are not computed: the
+    states are advanced N steps and draws N + 1 .. 2N taken in order.
+    Returns a (count, N) array of each source's destination, -1 when idle.
     """
     size = net.size
-    draws = stream_draws(trial_states(seed, first, count), 2 * size)
+    states = trial_states(seed, first, count)
     threshold = int(load * (1 << 64))
     if threshold > MASK64:
-        active = np.ones((count, size), dtype=bool)
-    else:
-        active = draws[:, :size] < np.uint64(threshold)
+        states += np.uint64(size * _GOLDEN & MASK64)
+        return (stream_draws(states, size) & np.uint64(size - 1)).astype(np.int64)
+    draws = stream_draws(states, 2 * size)
+    active = draws[:, :size] < np.uint64(threshold)
     rank = np.maximum(np.cumsum(active, axis=1) - 1, 0)
     picks = np.take_along_axis(draws[:, size:], rank, axis=1) & np.uint64(size - 1)
     return np.where(active, picks.astype(np.int64), -1)
@@ -92,24 +100,30 @@ def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.nd
     of the source on every line entering each stage, N where it is empty.
     """
     n, size = net.stages, net.size
-    empty = size << n
+    half, empty = size >> 1, size << n
     lines = np.arange(size)
     keys = np.where(dests >= 0, (lines << n) | dests, empty)
     entering = np.empty((n,) + keys.shape, dtype=np.intp)
     feeder = np.empty(size, dtype=np.intp)
+    # where each line's key is held: in line order on entry, then out-port
+    # 0 of every switch followed by out-port 1
+    place, by_port = lines, ((lines & 1) << (n - 1)) | (lines >> 1)
     for k, row in enumerate(wiring(net)):
         # row sends line i to row[i]: scattering the line numbers through it
         # names the feeder of every entering line, and the keys are gathered
         # through that (on a full chunk, 3x faster than scattering the keys)
         feeder[row] = lines
-        keys = keys[:, feeder]
-        entering[k] = keys >> n
-        upper, lower = keys[:, 0::2], keys[:, 1::2]
-        upper_bit, lower_bit = (upper >> (n - 1 - k)) & 1, (lower >> (n - 1 - k)) & 1
-        out = np.empty_like(keys)
-        out[:, 0::2] = np.minimum(np.where(upper_bit, empty, upper), np.where(lower_bit, empty, lower))
-        out[:, 1::2] = np.minimum(np.where(upper_bit, upper, empty), np.where(lower_bit, lower, empty))
-        keys = out
+        keys = keys[:, place[feeder]]
+        np.right_shift(keys, n, out=entering[k])
+        # the routing bit, moved up to the empty bit; an empty key has none
+        bit = (keys << (n + 1 + k)) & empty
+        port0 = np.maximum(keys, bit)
+        bit ^= empty
+        port1 = np.maximum(keys, bit, out=bit)
+        keys = np.empty_like(keys)
+        np.minimum(port0[:, 0::2], port0[:, 1::2], out=keys[:, :half])
+        np.minimum(port1[:, 0::2], port1[:, 1::2], out=keys[:, half:])
+        place = by_port
     alive = np.zeros((keys.shape[0], size + 1), dtype=bool)
     np.put_along_axis(alive, keys >> n, True, axis=1)
     alive[:, size] = False
@@ -135,7 +149,9 @@ def _contested(
     contested = np.flatnonzero(both[:, 0] & both[:, 1])
     pair = inputs[contested].T
     bounds = np.searchsorted(contested, np.arange(n + 1) * (entering[0].size // 2)).tolist()
-    partner = np.full((n, alive.size), size, dtype=np.intp)
+    # slots fit 32 bits (2^31 of them would take 16n GB of `entering`),
+    # which halves the table and the time to fill it
+    partner = np.full((n, alive.size), size, dtype=np.int32)
     seen = np.zeros(alive.size, dtype=np.intp)
     stages = []
     for k in range(n):

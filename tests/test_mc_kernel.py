@@ -131,6 +131,45 @@ def test_workload_shaped_batch(topology, budgets):
     assert kernel_counts(net, traffic, budgets, 20, 0x5EED) == reference_counts(net, traffic, budgets, 20, 0x5EED)
 
 
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+def test_kernel_matches_reference_at_n65536(topology):
+    """N = 2^16, n = 16: at the last stage the allow sweep shifts every key
+    by n + 1 + k = 32 bits to move its routing bit up to the empty bit, and
+    the keys of sources >= 2^15 lose their high bits in the shift.  Every
+    mode's survivors equal the reference's, source by source."""
+    net = build_network(1 << 16, topology)
+    traffic, modes, seed = (0.02, None), [None, 1, 0], 0xB16
+    dests = sampled(net, traffic, seed, 2)
+    kernel = resolve_batch(net, dests, modes)
+    for trial in range(2):
+        requests = reference_requests(net, traffic, substream(seed, trial))
+        assert requests == [Message(s, int(d)) for s, d in enumerate(dests[trial]) if d >= 0]
+        assert max(m.source for m in requests) >= 1 << 15
+        reference = resolve_single_pass(net, requests, modes)
+        for mode in modes:
+            sources = sorted(requests[m].source for m in reference[mode])
+            assert np.flatnonzero(kernel[mode][trial]).tolist() == sources, mode
+
+
+@pytest.mark.parametrize("size", [4, 256])
+def test_full_load_sampling_replays_the_destination_draws(size):
+    """At load 1 every line is active and sample_requests computes only
+    draws N + 1 .. 2N: trial t's row is substream(seed, t) with N draws
+    skipped, then below(N) once per source, for trials that do not start
+    at 0 too."""
+    net = build_network(size, "omega")
+    seed, first, count = 0xF11, 7, 5
+    expected = []
+    for trial in range(first, first + count):
+        stream = substream(seed, trial)
+        for _ in range(size):
+            stream.next_u64()
+        expected.append([stream.below(size) for _ in range(size)])
+    dests = sample_requests(net, 1.0, seed, first, count)
+    assert dests.dtype == np.int64
+    assert dests.tolist() == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), networks(), st.integers(min_value=0, max_value=3), seeds)
 def test_budget_of_at_least_stages_keeps_allow_survivors(data, net, extra, seed):
