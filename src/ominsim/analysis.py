@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateSourceError, NotPowerOfTwoError, OutOfRangeError, ZeroTrialsError
+from .errors import DuplicateSourceError, OutOfRangeError
 from .mc_kernel import permutation_dests, resolve_batch, sample_requests, trial_chunks
 from .routing import Message, PermutationMap, path_table
 from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
@@ -162,6 +162,7 @@ def _budget_sweep(
     alive = set(start)
     shares: dict[int, list[int]] = {m: [] for m in alive}
     for stage_pairs in pairs:
+        # a stage reads the live set at its start; dropping at its end instead saved nothing (ROADMAP aim 2)
         before = set(alive)
         for a, b in stage_pairs:
             if a not in before or b not in before:
@@ -240,7 +241,7 @@ def monte_carlo(net: NetworkSpec, load: float, modes: Sequence[Mode], trials: in
     if not 0.0 <= load <= 1.0:
         raise OutOfRangeError(f"load must lie in [0, 1], got {load}")
     if trials < 1:
-        raise ZeroTrialsError(f"need at least one trial, got {trials}")
+        raise OutOfRangeError(f"need at least one trial, got {trials}")
     check_seed(seed)
     modes = list(map(check_mode, modes))
     ranges = trial_chunks(net, trials)
@@ -264,7 +265,7 @@ def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
     A shuffle of range(size) cannot repeat a source or a destination, so the
     map is built without full_permutation's checks."""
     if size < 4 or size & (size - 1):
-        raise NotPowerOfTwoError(f"permutation size must be a power of two >= 4, got {size}")
+        raise OutOfRangeError(f"permutation size must be a power of two >= 4, got {size}")
     dest = list(range(size))
     for i in range(size - 1, 0, -1):
         j = stream.below(i + 1)
@@ -281,7 +282,7 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     config; the report's pass_histogram counts permutations by pass count.
     """
     if trials < 1:
-        raise ZeroTrialsError(f"need at least one permutation, got {trials}")
+        raise OutOfRangeError(f"need at least one permutation, got {trials}")
     solve = schedule_exact if config.algorithm is Algorithm.EXACT else schedule_greedy
     histogram: Counter[int] = Counter()
 

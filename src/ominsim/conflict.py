@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SameSourceError
+from .errors import DuplicateSourceError
 from .routing import Message, trace_path
 from .topology import NetworkSpec
 
@@ -29,7 +29,7 @@ def conflict_stages(net: NetworkSpec, a: Message, b: Message) -> list[tuple[int,
     that already ended one of the messages.
     """
     if a.source == b.source:
-        raise SameSourceError(f"both messages start at source {a.source}")
+        raise DuplicateSourceError(f"both messages start at source {a.source}")
     found: list[tuple[int, bool]] = []
     for ha, hb in zip(trace_path(net, a), trace_path(net, b)):
         if ha.switch != hb.switch:

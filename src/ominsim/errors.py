@@ -1,27 +1,19 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator.  `cli.run` catches
+SimulatorError, prints ``error: <message>`` and exits 2."""
 
 
 class SimulatorError(Exception):
     """Base class for all user-input and contract errors raised by this package."""
 
 
-class NotPowerOfTwoError(SimulatorError):
-    pass
-
-
-class UnknownTopologyError(SimulatorError):
-    pass
-
-
 class OutOfRangeError(SimulatorError):
-    pass
-
-
-class UnsupportedTopologyError(SimulatorError):
-    pass
+    """An argument outside the values the call accepts: a size, topology,
+    stage, line, endpoint, message index, load, seed, budget or count."""
 
 
 class ParseError(SimulatorError):
+    """A permutation file line that is not two integers, with its line_number."""
+
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:
             message = f"line {line_number}: {message}"
@@ -30,28 +22,12 @@ class ParseError(SimulatorError):
 
 
 class DuplicateSourceError(SimulatorError):
-    pass
+    """A source named twice: in a map, a request batch or conflict_stages."""
 
 
 class DuplicateDestinationError(SimulatorError):
-    pass
-
-
-class SameSourceError(SimulatorError):
-    pass
-
-
-class TooLargeError(SimulatorError):
-    pass
+    """A destination named twice in a full permutation."""
 
 
 class CoverageError(SimulatorError):
-    pass
-
-
-class IndexOutOfRangeError(SimulatorError):
-    pass
-
-
-class ZeroTrialsError(SimulatorError):
-    pass
+    """A schedule that lists a message twice or leaves one out (validate_schedule)."""

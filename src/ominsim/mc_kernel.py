@@ -158,6 +158,7 @@ def _contested(
         pair_k = pair[:, bounds[k]:bounds[k + 1]]
         hot = seen[pair_k].max(axis=0)
         seen[pair_k] += 1
+        # the sort lets each budget visit a prefix, which pays at every size measured (ROADMAP aim 2)
         pair_k = pair_k[:, np.argsort(-hot)]
         at_least = np.bincount(hot, minlength=k + 1)[::-1].cumsum()[::-1]
         stages.append((pair_k, partner[:k, pair_k], at_least.tolist()))

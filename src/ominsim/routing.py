@@ -9,13 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateDestinationError,
-    DuplicateSourceError,
-    OutOfRangeError,
-    ParseError,
-    UnsupportedTopologyError,
-)
+from .errors import DuplicateDestinationError, DuplicateSourceError, OutOfRangeError, ParseError
 from .topology import NetworkSpec, Topology, interconnect, wiring
 
 
@@ -171,7 +165,7 @@ def switch_at_stage(net: NetworkSpec, msg: Message, stage: int) -> int:
     the high n-1 destination bits.  Must agree with trace_path everywhere.
     """
     if net.topology is not Topology.OMEGA:
-        raise UnsupportedTopologyError("the window formula is omega-specific; use trace_path")
+        raise OutOfRangeError("the window formula is omega-specific; use trace_path")
     n = net.stages
     if not 1 <= stage <= n:
         raise OutOfRangeError(f"stage {stage} outside [1, {n}]")

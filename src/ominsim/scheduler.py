@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conflict import shared_pairs
-from .errors import CoverageError, IndexOutOfRangeError, OutOfRangeError, TooLargeError
+from .errors import CoverageError, OutOfRangeError
 from .routing import PermutationMap, first_outside, first_repeat, int_array, path_table
 from .topology import NetworkSpec
 
@@ -101,6 +101,7 @@ class _Occupancy:
         self.lines = path_table(net, perm.sources, perm.dests) + net.size * np.arange(net.stages)
         # no message has more than net.stages stages to share
         self.budget = net.stages if budget is None else budget
+        # switch keys at budget 0: one OR per stage, faster than out-line keys plus `beside` (ROADMAP aim 2)
         self.keys = (self.lines if self.budget else self.lines >> 1).tolist()
         self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
         self.passes: list[_Pass] = []
@@ -225,7 +226,7 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
         raise ValueError(f"exact scheduler got algorithm {config.algorithm}")
     count = len(perm)
     if count > EXACT_CAP:
-        raise TooLargeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
+        raise OutOfRangeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
     state = _Occupancy(net, perm, config.budget)
 
     def assign(i: int, limit: int) -> bool:
@@ -273,7 +274,7 @@ def validate_schedule(
     if twice is not None:
         raise CoverageError(f"message index {twice} scheduled twice")
     if end < members.size:
-        raise IndexOutOfRangeError(f"message index {members[end]} outside [0, {count})")
+        raise OutOfRangeError(f"message index {members[end]} outside [0, {count})")
     if members.size != count:
         missing = np.flatnonzero(np.bincount(members, minlength=count) == 0).tolist()
         raise CoverageError(f"messages {missing} missing from the schedule")

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotPowerOfTwoError, OutOfRangeError, UnknownTopologyError
+from .errors import OutOfRangeError
 
 
 class Topology(Enum):
@@ -33,20 +33,18 @@ def parse_topology(name: str) -> Topology:
     try:
         return Topology(name.strip().lower())
     except ValueError:
-        raise UnknownTopologyError(
-            f"unknown topology {name!r}: expected 'omega' or 'baseline'"
-        ) from None
+        raise OutOfRangeError(f"unknown topology {name!r}: expected 'omega' or 'baseline'") from None
 
 
 def build_network(size: int, topology: Topology | str) -> NetworkSpec:
     """Validate a network size and return its geometry.
 
-    Raises NotPowerOfTwoError unless size is a power of two >= 4.
+    Raises OutOfRangeError unless size is a power of two >= 4.
     """
     if isinstance(topology, str):
         topology = parse_topology(topology)
     if size < 4 or size & (size - 1):
-        raise NotPowerOfTwoError(f"network size must be a power of two >= 4, got {size}")
+        raise OutOfRangeError(f"network size must be a power of two >= 4, got {size}")
     return NetworkSpec(size=size, stages=size.bit_length() - 1, topology=topology)
 
 

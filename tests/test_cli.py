@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import ominsim
 from ominsim import (
-    NotPowerOfTwoError,
     OutOfRangeError,
     build_network,
     format_permutation,
@@ -246,7 +245,7 @@ def test_generate_random_permutation_contract():
     assert first == again
     assert sorted(first.dests.tolist()) == list(range(8))
     assert len(first) == first.size
-    with pytest.raises(NotPowerOfTwoError):
+    with pytest.raises(OutOfRangeError, match=r"^permutation size must be a power of two >= 4, got 6$"):
         generate_random_permutation(6, substream(17, 0))
 
 
@@ -297,19 +296,41 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
             ["bandwidth", "--sizes", "8", "--mode", "simulate", "--load", "2", "--trials", "0"],
             "error: load must lie in [0, 1], got 2.0\n",
         ),
+        (["bandwidth", "--sizes", "6"], "error: network size must be a power of two >= 4, got 6\n"),
+        (
+            ["route", "--size", "8", "--topology", "torus", "--perm", "PERM"],
+            "error: unknown topology 'torus': expected 'omega' or 'baseline'\n",
+        ),
+        (
+            ["simulate", "--size", "64", "--algorithm", "exact", "--random-perms", "1"],
+            "error: 64 messages exceed the exact-solver cap of 20\n",
+        ),
     ],
     ids=[
         "schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms", "analytic-crosstalk", "nan-load",
-        "load-before-trials",
+        "load-before-trials", "size-not-power-of-two", "unknown-topology", "exact-cap",
     ],
 )
 def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
-    """Each count, budget or mode has one check, in the library or the
-    parser, and its error is the only line written: `--crosstalk` is
-    checked in analytic mode too, though only simulate reads it, and a bad
-    load, NaN included, is reported before a bad trial count."""
+    """Each count, budget, mode, size or topology has one check, in the
+    library or the parser, and its error is the only line written:
+    `--crosstalk` is checked in analytic mode too, though only simulate
+    reads it, and a bad load, NaN included, is reported before a bad trial
+    count."""
     assert run([perm_file if a == "PERM" else a for a in argv]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+def test_public_errors():
+    """The package exports six exception classes, all caught by `run` as
+    SimulatorError, and every exported name resolves."""
+    errors = {name for name in ominsim.__all__ if name.endswith("Error")}
+    assert errors == {
+        "SimulatorError", "OutOfRangeError", "ParseError", "DuplicateSourceError", "DuplicateDestinationError",
+        "CoverageError",
+    }
+    assert all(issubclass(getattr(ominsim, name), ominsim.SimulatorError) for name in errors)
+    assert all(hasattr(ominsim, name) for name in ominsim.__all__)
 
 
 @pytest.mark.parametrize("load", [[], ["--load", "2"]], ids=["good-load", "bad-load"])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ominsim import (
+    DuplicateSourceError,
     Message,
-    SameSourceError,
     Topology,
     build_network,
     conflict_stages,
@@ -32,7 +32,7 @@ def test_conflict_examples(omega8, omega4):
 
 
 def test_same_source_rejected(omega8):
-    with pytest.raises(SameSourceError):
+    with pytest.raises(DuplicateSourceError, match=r"^both messages start at source 3$"):
         conflict_stages(omega8, Message(3, 1), Message(3, 2))
 
 

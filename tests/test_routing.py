@@ -11,7 +11,6 @@ from ominsim import (
     ParseError,
     SimulatorError,
     Topology,
-    UnsupportedTopologyError,
     build_network,
     format_permutation,
     full_permutation,
@@ -143,7 +142,7 @@ def test_paths_that_part_at_a_switch_never_meet_again(topology, size, data):
 
 def test_window_rejects_baseline_and_bad_stage():
     baseline = build_network(8, Topology.BASELINE)
-    with pytest.raises(UnsupportedTopologyError):
+    with pytest.raises(OutOfRangeError, match=r"^the window formula is omega-specific; use trace_path$"):
         switch_at_stage(baseline, Message(0, 7), 1)
     omega = build_network(8, Topology.OMEGA)
     with pytest.raises(OutOfRangeError):
