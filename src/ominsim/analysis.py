@@ -46,9 +46,9 @@ Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budg
 
 def check_mode(mode: Mode) -> Mode:
     """A mode is allow (None) or a budget >= 0.  Returns the mode, so that a
-    list is checked as it is passed on: resolve_batch takes modes unchecked,
-    and at -1 it would index its per-stage lists from the end and drop
-    messages that no rule names."""
+    list is checked as it is passed on: resolve_batch takes the lowest
+    budget unchecked, and at -1 it would sweep stages[-1:] with the count
+    at_least[-1] and drop messages that no rule names."""
     if mode is not None and mode < 0:
         raise OutOfRangeError(f"crosstalk budget must be >= 0, got {mode}")
     return mode
@@ -187,9 +187,9 @@ def resolve_single_pass(
     cannot reroute, so they vanish).  Budgets n - 1, n - 2, ... down to the
     lowest one requested then prune in turn, as the module docstring says,
     so survivors(k) is a subset of survivors(k') whenever k < k'; a budget
-    >= n keeps the allow survivors.  ``budgets`` are taken as resolve_batch
-    takes its modes: None (allow) and repeats may appear.  Keys of the
-    result: None for the allow phase plus every entry of ``budgets``.
+    >= n keeps the allow survivors.  ``budgets`` are taken as the caller
+    holds them: None (allow) and repeats may appear.  Keys of the result:
+    None for the allow phase plus every entry of ``budgets``.
     """
     seen = set()
     for msg in requests:
@@ -210,19 +210,21 @@ def resolve_single_pass(
 def _single_pass(net: NetworkSpec, modes: Sequence[Mode], chunks: Iterable[np.ndarray]) -> tuple[ModeStats, ...]:
     """Resolve every (trials, N) request array of `chunks` (-1 where a source
     is idle) with resolve_batch, and return the mean, standard error and
-    passability of the per-trial survivor counts in each distinct mode, in
-    first-seen order.  The caller checks the modes."""
+    passability of the per-trial counts of level <= min(m, n) (allow: n) in
+    each distinct mode m, in first-seen order.  The caller checks the modes."""
     wanted = list(dict.fromkeys(modes))
-    matured: dict[Mode, list] = {m: [] for m in wanted}
+    levels = [net.stages if m is None else min(m, net.stages) for m in wanted]
+    lowest = min(levels, default=net.stages)
+    matured: list[list] = [[] for _ in wanted]
     offered = 0
     for dests in chunks:
         offered += int(np.count_nonzero(dests >= 0))
-        survivors = resolve_batch(net, dests, wanted)
-        for m in wanted:
-            matured[m].append(survivors[m].sum(axis=1))
+        level = resolve_batch(net, dests, lowest)
+        for counts, k in zip(matured, levels):
+            counts.append((level <= k).sum(axis=1))
     stats = []
-    for m in wanted:
-        arr = np.concatenate(matured[m]).astype(float)
+    for m, counts in zip(wanted, matured):
+        arr = np.concatenate(counts).astype(float)
         stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
         stats.append(ModeStats(m, float(arr.mean()), stderr, (arr.sum() / offered) if offered else 0.0))
     return tuple(stats)

@@ -18,8 +18,9 @@ resolves it stage by stage across all of its trials (resolve_batch):
   out-line takes the smaller bid of its switch, one np.minimum per
   out-port, so of two keys bound for it the lower source wins.
 * Budgets run as one chain, n - 1, n - 2, ... down to the lowest one
-  requested, each pruning the survivors of the one above, so a mode's mask
-  does not depend on which other modes were asked for.
+  asked for, each pruning the survivors of the one above, so survivor sets
+  nest and one level per message, the lowest budget at which it survives,
+  carries every mode's mask: mode k's is level <= min(k, n), allow's n.
 * Allow survivors never share a line, so during a budget sweep a switch
   holds at most two of them.  resolve_batch finds the switches where two
   allow survivors meet, and each member's partner at every earlier stage,
@@ -36,8 +37,6 @@ resolves it stage by stage across all of its trials (resolve_batch):
   stands, so that sweep reads no counts.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -166,12 +165,11 @@ def _contested(
     return stages
 
 
-def _budget_sweep(stages: list, start: np.ndarray, budget: int) -> np.ndarray:
-    """Enforce a shared-stage budget on `start`, a subset of the allow
-    survivors, as the module docstring describes: at a contested switch the
-    share stands while both counts stay within budget; otherwise the message
-    with the larger count drops, the higher source on a tie."""
-    alive = start.copy()
+def _budget_sweep(stages: list, alive: np.ndarray, budget: int) -> None:
+    """Enforce a shared-stage budget on `alive`, a subset of the allow
+    survivors, in place, as the module docstring describes: at a contested
+    switch the share stands while both counts stay within budget; otherwise
+    the message with the larger count drops, the higher source on a tie."""
     for pair, partners, at_least in stages[budget:]:
         hot = at_least[budget]
         if not hot:
@@ -184,31 +182,27 @@ def _budget_sweep(stages: list, start: np.ndarray, budget: int) -> np.ndarray:
         # and slots of one trial are ordered by source
         worst = np.maximum(*(count * alive.size + pair))
         alive[worst[live & (worst >= budget * alive.size)] % alive.size] = False
-    return alive
 
 
-def resolve_batch(
-    net: NetworkSpec, dests: np.ndarray, modes: Sequence[int | None] = ()
-) -> dict[int | None, np.ndarray]:
+def resolve_batch(net: NetworkSpec, dests: np.ndarray, lowest: int) -> np.ndarray:
     """resolve_single_pass for many trials at once.
 
     dests is a (trials, N) array of each source's destination, -1 where the
-    source is idle.  modes are taken as the caller holds them: None (allow)
-    and repeats may appear, and every budget must be >= 0.  Returns
-    (trials, N) boolean survivor masks by source, keyed by None plus every
-    requested mode.  Budgets n - 1, n - 2, ... down to the lowest one
-    requested run in turn, each pruning the survivors of the one above; a
-    budget >= n keeps the allow survivors.
+    source is idle.  Budgets n - 1, n - 2, ... down to `lowest` run in turn,
+    each pruning the survivors of the one above; lowest >= n runs the allow
+    pass alone, as a budget >= n never binds.  lowest must be >= 0.
+    Returns a (trials, N) int8 array of each source's level: the lowest
+    budget >= lowest at which it survives, n when only the allow pass keeps
+    it, n + 1 for an allow loser or an idle source.
     """
     trials, size = dests.shape
     alive, entering = _allow_sweep(net, dests)
     entering += (np.arange(trials) * (size + 1))[:, None]
-    masks = {None: alive}
-    lowest = min((m for m in modes if m is not None), default=net.stages)
+    level = np.int8(net.stages + 1) - alive[:, :size]
     if lowest < net.stages:
         flat = alive.reshape(-1)
         stages = _contested(net, flat, entering)
         for budget in range(net.stages - 1, lowest - 1, -1):
-            flat = _budget_sweep(stages, flat, budget)
-            masks[budget] = flat.reshape(trials, size + 1)
-    return {m: masks.get(m, alive)[:, :size] for m in (None, *modes)}
+            _budget_sweep(stages, flat, budget)
+            level -= alive[:, :size]
+    return level

@@ -224,9 +224,9 @@ class TestRandomPermutationStudy:
             events.append(("solve", perm.dests.tolist()))
             return schedule_greedy(net, perm, config)
 
-        def resolve(net, dests, modes):
+        def resolve(net, dests, lowest):
             events.append(("resolve", dests.tolist()))
-            return mc_kernel.resolve_batch(net, dests, modes)
+            return mc_kernel.resolve_batch(net, dests, lowest)
 
         with mock.patch.object(mc_kernel, "CHUNK_CELLS", 3 * 8), \
                 mock.patch("ominsim.analysis.schedule_greedy", solve), \

@@ -67,9 +67,22 @@ def sampled(net, traffic, seed, trials):
     return dests if perm is None else np.where(dests >= 0, permutation_dests(net, perm), -1)
 
 
+def mode_level(net, mode):
+    """The level of mode's survivors: level <= min(mode, n), allow's n."""
+    return net.stages if mode is None else min(mode, net.stages)
+
+
+def kernel_masks(net, dests, modes):
+    """Survivor masks by source, keyed by None plus every mode, all read
+    from one level array."""
+    levels = {m: mode_level(net, m) for m in (None, *modes)}
+    level = resolve_batch(net, dests, min(levels.values()))
+    return {m: level <= k for m, k in levels.items()}
+
+
 def kernel_counts(net, traffic, budgets, trials, seed):
     dests = sampled(net, traffic, seed, trials)
-    survivors = resolve_batch(net, dests, budgets)
+    survivors = kernel_masks(net, dests, budgets)
     return [
         (int(np.count_nonzero(dests[t] >= 0)), {m: int(alive[t].sum()) for m, alive in survivors.items()})
         for t in range(trials)
@@ -112,7 +125,10 @@ def test_kernel_matches_reference_trial_by_trial(data, net, modes, trials, seed)
     st.integers(min_value=1, max_value=5), seeds,
 )
 def test_monte_carlo_spanning_chunks_matches_reference(data, net, modes, trials, per_chunk, seed):
+    """Chunk boundaries change no statistic, and a budget past any int64
+    reads the allow level."""
     load = data.draw(loads)
+    modes = modes + [HUGE]
     rows = reference_counts(net, (load, None), modes, trials, seed)
     with mock.patch.object(mc_kernel, "CHUNK_CELLS", per_chunk * net.size):
         report = monte_carlo(net, load, modes, trials, seed)
@@ -140,7 +156,7 @@ def test_kernel_matches_reference_at_n65536(topology):
     net = build_network(1 << 16, topology)
     traffic, modes, seed = (0.02, None), [None, 1, 0], 0xB16
     dests = sampled(net, traffic, seed, 2)
-    kernel = resolve_batch(net, dests, modes)
+    kernel = kernel_masks(net, dests, modes)
     for trial in range(2):
         requests = reference_requests(net, traffic, substream(seed, trial))
         assert requests == [Message(s, int(d)) for s, d in enumerate(dests[trial]) if d >= 0]
@@ -174,16 +190,21 @@ def test_full_load_sampling_replays_the_destination_draws(size):
 @given(st.data(), networks(), st.integers(min_value=0, max_value=3), seeds)
 def test_budget_of_at_least_stages_keeps_allow_survivors(data, net, extra, seed):
     """A message meets at most one switch per stage, so it shares at most
-    n stages and a budget >= n never binds."""
+    n stages and a budget >= n never binds: from the kernel, whose levels
+    are then n for the allow survivors and n + 1 for the rest, and from the
+    reference alike."""
     traffic = data.draw(traffics(net))
     budget = net.stages + extra
     dests = sampled(net, traffic, seed, 4)
-    survivors = resolve_batch(net, dests, [budget])
-    assert np.array_equal(survivors[budget], survivors[None])
+    level = resolve_batch(net, dests, budget)
+    assert np.array_equal(level, resolve_batch(net, dests, net.stages))
+    assert set(np.unique(level).tolist()) <= {net.stages, net.stages + 1}
     for trial in range(4):
         requests = [Message(s, int(d)) for s, d in enumerate(dests[trial]) if d >= 0]
         reference = resolve_single_pass(net, requests, [budget])
         assert reference[budget] == reference[None]
+        sources = sorted(requests[m].source for m in reference[budget])
+        assert np.flatnonzero(level[trial] <= net.stages).tolist() == sources
 
 
 def test_stage_decides_from_counts_at_its_start():
@@ -200,7 +221,8 @@ def test_stage_decides_from_counts_at_its_start():
     perm = full_permutation(net, dests)
     reference = resolve_single_pass(net, perm.pairs, budgets=[2, 1, 0])
     assert {m: sorted(v) for m, v in reference.items()} == expected
-    kernel = resolve_batch(net, np.array([dests]), [2, 1, 0])
+    assert resolve_batch(net, np.array([dests]), 0).tolist() == [[0, 3, 1, 0, 3, 1, 3, 3]]
+    kernel = kernel_masks(net, np.array([dests]), [2, 1, 0])
     assert {m: np.flatnonzero(v[0]).tolist() for m, v in kernel.items()} == expected
 
 
@@ -214,7 +236,7 @@ def test_full_permutations_passing_in_one_pass(topology, size, passing):
     assert passing == 2 ** (net.stages * size // 2)
     dests = np.array(list(permutations(range(size))))
     budgets = list(range(net.stages))
-    whole = {mode: alive.all(axis=1) for mode, alive in resolve_batch(net, dests, budgets).items()}
+    whole = {mode: alive.all(axis=1) for mode, alive in kernel_masks(net, dests, budgets).items()}
     assert whole[None].sum() == passing
     for budget in budgets:
         assert not whole[budget].any()
@@ -228,17 +250,16 @@ def test_full_permutations_passing_in_one_pass(topology, size, passing):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), networks(), chains, seeds)
 def test_batch_takes_modes_as_held(data, net, modes, seed):
-    """None and repeats may appear among the modes, and each mode's mask is
-    the same whatever else is asked for: the masks are keyed by None plus
-    every mode, and a budget of 10**30 keeps the allow survivors.  The
-    reference takes its budgets the same way."""
+    """Each mode's survivors are the same whatever else is asked for.  In
+    the kernel a chain run down to L gives the full chain's levels with
+    every level below L raised to L.  The reference takes its budgets as
+    held: None and repeats may appear, the result is keyed by None plus
+    every mode, and a budget of 10**30 keeps the allow survivors."""
     traffic = data.draw(traffics(net))
     dests = sampled(net, traffic, seed, 4)
-    held = resolve_batch(net, dests, modes + [HUGE])
-    assert held.keys() == {None, HUGE, *modes}
-    assert np.array_equal(held[HUGE], held[None])
-    for mode in modes:
-        assert np.array_equal(held[mode], resolve_batch(net, dests, [mode])[mode])
+    full = resolve_batch(net, dests, 0)
+    for lowest in range(net.stages + 1):
+        assert np.array_equal(resolve_batch(net, dests, lowest), np.maximum(full, lowest)), lowest
     for row in dests:
         requests = [Message(s, int(d)) for s, d in enumerate(row) if d >= 0]
         reference = resolve_single_pass(net, requests, modes + [HUGE])
@@ -259,9 +280,7 @@ def test_destination_xor_keeps_every_survivor(data, net, seed):
     dests = sampled(net, traffic, seed, 4)
     moved = np.where(dests >= 0, dests ^ c, -1)
     modes = [None, *range(net.stages)]
-    kernel, kernel_moved = resolve_batch(net, dests, modes), resolve_batch(net, moved, modes)
-    for mode in modes:
-        assert np.array_equal(kernel[mode], kernel_moved[mode]), mode
+    assert np.array_equal(resolve_batch(net, dests, 0), resolve_batch(net, moved, 0))
     for row, moved_row in zip(dests, moved):
         requests = [[Message(s, int(d)) for s, d in enumerate(r) if d >= 0] for r in (row, moved_row)]
         assert resolve_single_pass(net, requests[0], modes) == resolve_single_pass(net, requests[1], modes)
@@ -289,8 +308,9 @@ def test_exhaustive_n8_survivor_distribution(topology):
     0.1 s here."""
     net = build_network(8, topology)
     dests = np.array(list(permutations(range(8))))
-    for mode, alive in resolve_batch(net, dests, [2, 1, 0]).items():
-        counts, maps = np.unique(alive.sum(axis=1), return_counts=True)
+    level = resolve_batch(net, dests, 0)
+    for mode in SURVIVORS_8[topology]:
+        counts, maps = np.unique(np.count_nonzero(level <= mode_level(net, mode), axis=1), return_counts=True)
         assert dict(zip(counts.tolist(), maps.tolist())) == SURVIVORS_8[topology][mode], mode
 
 
@@ -329,8 +349,9 @@ def test_exact_single_pass_bandwidth(topology, size):
     modes = list(range(net.stages))
     totals = dict.fromkeys([None, *modes], 0)
     for dests in uniform_patterns(size, free):
-        for mode, alive in resolve_batch(net, dests, modes).items():
-            totals[mode] += int(alive.sum())
+        level = resolve_batch(net, dests, 0)
+        for mode in totals:
+            totals[mode] += int(np.count_nonzero(level <= mode_level(net, mode)))
     assert totals == EXACT[topology, size]
     exact = {mode: total / size**free for mode, total in totals.items()}
     assert exact[None] == analytic_bandwidth(net.stages, 1.0).bandwidth
@@ -347,13 +368,47 @@ def test_monte_carlo_rows_in_first_seen_order(omega8):
     assert list(repeated.modes) == [distinct[0], distinct[None], distinct[1]]
 
 
+def test_monte_carlo_without_modes_reports_none(omega8):
+    """An empty mode list resolves the allow pass alone and reports no row."""
+    report = monte_carlo(omega8, 1.0, [], 5, 1)
+    assert report.modes == ()
+    assert report.trials == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), networks(), seeds)
+def test_level_is_the_lowest_surviving_budget(data, net, seed):
+    """level[t, s] is the lowest budget >= lowest at which source s
+    survives, n when only the allow pass keeps it and n + 1 for an allow
+    loser or an idle source, as derived trial by trial from one
+    resolve_single_pass call over every budget."""
+    n = net.stages
+    traffic = data.draw(traffics(net))
+    lowest = data.draw(st.integers(min_value=0, max_value=n))
+    dests = sampled(net, traffic, seed, 4)
+    level = resolve_batch(net, dests, lowest)
+    assert level.dtype == np.int8
+    assert level.shape == dests.shape
+    assert ((lowest <= level) & (level <= n + 1)).all()
+    assert (level[dests < 0] == n + 1).all()
+    for row, got in zip(dests, level):
+        requests = [Message(s, int(d)) for s, d in enumerate(row) if d >= 0]
+        survivors = resolve_single_pass(net, requests, range(n))
+        expected = [n + 1] * net.size
+        # survivor sets nest, so the last budget to keep a message is its level
+        for mode in (None, *range(n - 1, lowest - 1, -1)):
+            for m in survivors[mode]:
+                expected[requests[m].source] = mode_level(net, mode)
+        assert got.tolist() == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data(), networks(sizes=(8, 16, 32)), chains)
 def test_survivors_pass_validate_schedule_as_one_pass(data, net, modes):
     """Survivors of mode k form one valid pass at budget k (allow: unlimited)."""
     dests = data.draw(st.permutations(range(net.size)))
     perm = full_permutation(net, dests)
-    for mode, alive in resolve_batch(net, np.array([dests]), modes).items():
+    for mode, alive in kernel_masks(net, np.array([dests]), modes).items():
         members = make_permutation([perm.pairs[s] for s in np.flatnonzero(alive[0])], net.size)
         config = ScheduleConfig(budget=mode)
         report = validate_schedule(net, members, Schedule([list(range(len(members)))], config, []))
