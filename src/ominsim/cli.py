@@ -48,8 +48,9 @@ def _jnum(x: float) -> float:
 
 
 def _read_text(path: str) -> str:
+    """The file as UTF-8 text, less one leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 

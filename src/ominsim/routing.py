@@ -3,6 +3,7 @@ the path table, and the permutation file format.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -186,12 +187,18 @@ def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -
     if i < sources.size:
         raise OutOfRangeError(f"endpoints of {sources[i]}->{dests[i]} outside [0, {net.size})")
     n = net.stages
-    lines = np.empty((sources.size, n), dtype=np.intp)
+    # built stage by stage, one contiguous row each, then transposed
+    bits = (dests >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    lines = np.empty((n, sources.size), dtype=np.intp)
     line = sources
     for k, row in enumerate(wiring(net)):
-        line = (row[line] & ~1) | ((dests >> (n - 1 - k)) & 1)
-        lines[:, k] = line
-    return lines
+        line = lines[k] = (row[line] & ~1) | bits[k]
+    return lines.T.copy()
+
+
+# Lines of two ASCII numbers of at most 18 digits, so no value overflows
+# int64, with no comment, sign, blank line or carriage return.
+_CANONICAL = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*\n)*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?")
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
@@ -199,7 +206,17 @@ def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
 
     Errors come in line order: a malformed line or an endpoint outside the
     network, whichever comes first, then a repeated source, then a repeated
-    destination in a full map."""
+    destination in a full map.
+
+    Canonical text, as format_permutation writes it, is read by numpy in
+    one call; any other text, and canonical text with an endpoint outside
+    the network, goes through the line loop, which alone raises the
+    line-numbered errors."""
+    if _CANONICAL.fullmatch(text):
+        ends = np.fromstring(text, dtype=np.intp, sep=" ")
+        sources, dests = ends[0::2], ends[1::2]
+        if first_outside(net.size, sources, dests) == sources.size:
+            return _checked(sources, dests, net.size)
     sources, dests, linenos = [], [], []
     malformed = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -217,6 +217,19 @@ def test_non_utf8_map_exits_2(command, tmp_path, capsys):
     )
 
 
+def test_map_with_a_byte_order_mark_schedules_as_without(tmp_path, capsys):
+    """A UTF-8 map saved with a byte-order mark is read as the same map."""
+    text = "".join(f"{s} {d}\n" for s, d in enumerate(SHOWCASE_DESTS))
+    plain, marked = tmp_path / "plain.perm", tmp_path / "marked.perm"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outputs = []
+    for path in (plain, marked):
+        assert run(["schedule", "--size", "8", "--perm", str(path), "--budget", "1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -21,6 +21,8 @@ from ominsim import (
     trace_path,
 )
 
+from ominsim import routing
+
 from .conftest import SHOWCASE_DESTS, draw_map
 
 
@@ -254,8 +256,9 @@ def reference_parse(text, size):
 @st.composite
 def permutation_texts(draw, size):
     """Message lines, mostly in range, from a shuffle (a full map when
-    nothing is dropped) or from free draws, with whitespace, comments,
-    blank lines and malformed lines mixed in."""
+    nothing is dropped) or from free draws.  About half the texts are
+    canonical, the lines alone; the others have leading whitespace,
+    comments, blank lines and malformed lines mixed in."""
     inside = st.integers(0, size - 1)
     endpoint = inside if draw(st.booleans()) else st.one_of(inside, st.integers(-2, size + 1), st.just(10**20))
     if draw(st.booleans()):
@@ -265,6 +268,9 @@ def permutation_texts(draw, size):
         sources = draw(st.lists(endpoint, max_size=size + 1))
         dests = draw(st.lists(endpoint, min_size=len(sources), max_size=len(sources)))
     space = st.sampled_from([" ", "  ", "\t"])
+    if draw(st.booleans()):
+        lines = [f"{s}{draw(space)}{d}" for s, d in zip(sources, dests)]
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
     lines = [f"{draw(st.sampled_from(['', ' ']))}{s}{draw(space)}{d}" for s, d in zip(sources, dests)]
     blank = st.sampled_from(["", "   ", "# comment", "  #x 1 2", "#"])
     noise = st.one_of(
@@ -297,6 +303,18 @@ def test_parse_equals_scalar_reference(size, data):
         perm = parse_permutation(text, net)
         assert perm.pairs == tuple(Message(s, d) for s, d in expected)
         assert perm.size == size
+
+
+def test_canonical_and_messy_texts_parse_alike(omega8):
+    """A canonical map, read by numpy, equals the same map with a comment,
+    CRLF endings and leading spaces, read line by line; a canonical map
+    with an endpoint outside the network gets the line loop's message."""
+    canonical = format_permutation(full_permutation(omega8, SHOWCASE_DESTS))
+    messy = "# header\r\n" + "".join(f"  {line}\r\n" for line in canonical.splitlines())
+    assert routing._CANONICAL.fullmatch(canonical) and not routing._CANONICAL.fullmatch(messy)
+    assert parse_permutation(canonical, omega8) == parse_permutation(messy, omega8)
+    with pytest.raises(OutOfRangeError, match=r"^line 3: 2 8 outside \[0, 8\)$"):
+        parse_permutation("0 1\n1 2\n2 8\n3 4\n", omega8)
 
 
 def test_map_holds_read_only_arrays(omega8):

@@ -315,14 +315,24 @@ def _all_pairs_validation(net, perm, passes, budget, paths=None):
 def test_validator_equals_all_pairs_oracle(topology, size, data):
     """Any partition, valid or not, of a full map or of a partial map that
     may repeat destinations gets the oracle's violations, in its order, and
-    its semi-permutation flags."""
+    its semi-permutation flags.  Random partitions are seldom valid above
+    N=8, so greedy's schedule is drawn too, sometimes with one message
+    moved to another pass: the holder counts then settle most reports, and
+    the pairs the rest."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
     count = len(perm.pairs)
-    labels = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
-    order = data.draw(st.permutations(range(count)))
-    passes = [[m for m in order if labels[m] == p] for p in range(max(labels, default=0) + 1)]
     budget = data.draw(st.sampled_from([0, 1, 2, None]))
+    if data.draw(st.booleans()):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        order = data.draw(st.permutations(range(count)))
+        passes = [[m for m in order if labels[m] == p] for p in range(max(labels, default=0) + 1)]
+    else:
+        passes = schedule_greedy(net, perm, ScheduleConfig(budget=budget)).passes
+        if count and data.draw(st.booleans()):
+            m = data.draw(st.integers(0, count - 1))
+            passes = [[q for q in p if q != m] for p in passes] + [[]]
+            passes[data.draw(st.integers(0, len(passes) - 1))].append(m)
     report = validate_schedule(net, perm, Schedule(passes, ScheduleConfig(budget=budget), []))
     assert (report.violations, report.semi_permutation_passes) == _all_pairs_validation(net, perm, passes, budget)
 
@@ -390,6 +400,30 @@ def test_greedy_equals_first_fit_reference(topology, size, data):
     config = ScheduleConfig(budget=budget, algorithm=algorithm)
     schedule = schedule_greedy(net, perm, config)
     assert (schedule.passes, schedule.shared_counts) == _first_fit_reference(net, perm, config)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0, 1, 2, None]), st.data())
+def test_fill_equals_a_loop_of_first_fit_and_join(topology, size, budget, data):
+    """`fill(order)`, in greedy's order or Welsh-Powell's, leaves the masks,
+    every pass's shared-stage counts and, at budget ≥ 1, its holders as a
+    loop of first_fit(m) and join leaves them."""
+    net = build_network(size, topology)
+    perm = draw_map(data, net)
+    sources = perm.sources.tolist()
+    order = sorted(range(len(perm)), key=sources.__getitem__)
+    if data.draw(st.booleans()):
+        degree = degrees(conflict_pairs(net, perm), len(perm)).tolist()
+        order.sort(key=lambda i: -degree[i])
+    filled, looped = scheduler._Occupancy(net, perm, budget), scheduler._Occupancy(net, perm, budget)
+    filled.fill(order)
+    for m in order:
+        i, met = looped.first_fit(m)
+        looped.join(i, m, met)
+    assert filled.used == looped.used
+    assert [list(p.shared.items()) for p in filled.passes] == [list(p.shared.items()) for p in looped.passes]
+    if budget != 0:
+        assert [p.member for p in filled.passes] == [p.member for p in looped.passes]
 
 
 def _canonical_assignments(count, limit):
