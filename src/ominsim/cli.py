@@ -1,8 +1,8 @@
 """Command-line front end: routing tables, conflict edge lists, schedules,
 and bandwidth experiments with byte-stable CSV/JSON output.
 
-Exit status: 0 on success, 2 on bad input (flags, files, ranges), 1 when an
-internal invariant fails.
+Exit status: 0 on success, 2 on bad input (flags, files, ranges), a network
+too large to allocate included, 1 when an internal invariant fails.
 """
 from __future__ import annotations
 
@@ -289,6 +289,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except SimulatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,16 +61,6 @@ class ValidationReport:
     semi_permutation_passes: list[bool]
 
 
-class _Pass(NamedTuple):
-    """One pass under construction: each member's shared-stage count and, at
-    budget ≥ 1 only, the member holding each out-line key of
-    `_Occupancy.keys`.  An entry is read only while the pass's bit in
-    `_Occupancy.used` is set for it; at budget 0 the list is empty."""
-
-    shared: dict[int, int]
-    member: list[int]
-
-
 class _Occupancy:
     """Passes under construction, and the admission rule all schedulers use.
 
@@ -95,6 +84,11 @@ class _Occupancy:
     source).  Two messages that leave a switch on different lines never
     meet again (each output has one path from each input), so each shared
     switch is one stage for the message and one for a different member.
+    `shared` is each message's shared-stage count (it sits in one pass),
+    `passes` each pass's members in join order, and `holders` each pass's
+    member on a key, read while the pass's bit is set for it: a list over
+    every key at budget ≥ 1 in `fill` (none at budget 0), and in `join`,
+    the exact solver's, a dict of its members' keys, which grows with M·n.
     """
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
@@ -104,12 +98,14 @@ class _Occupancy:
         # switch keys at budget 0: one OR per stage, faster than out-line keys plus `beside` (ROADMAP aim 2)
         self.keys = (self.lines if self.budget else self.lines >> 1).tolist()
         self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
-        self.passes: list[_Pass] = []
+        self.shared = [0] * len(perm)
+        self.passes: list[list[int]] = []
+        self.holders: list[list[int] | dict[int, int]] = []
 
     def first_fit(self, m: int, start: int = 0) -> tuple[int, list[int]]:
         """The first pass from `start` on that m can join, and the members it
         would meet there; len(passes), a new pass, when no open one takes m."""
-        keys, used, budget = self.keys[m], self.used, self.budget
+        keys, used, budget, shared = self.keys[m], self.used, self.budget, self.shared
         blocked = beside = 0
         if budget:
             for line in keys:
@@ -125,14 +121,14 @@ class _Occupancy:
             i = bit.bit_length() - 1
             if not beside & bit:
                 return i, []
-            p = self.passes[i]
+            holder = self.holders[i]
             met = []
             for line in keys:
                 if not used[line ^ 1] & bit:
                     continue
                 # one more shared stage for both m and the member beside it
-                other = p.member[line ^ 1]
-                if len(met) >= budget or p.shared[other] >= budget:
+                other = holder[line ^ 1]
+                if len(met) >= budget or shared[other] >= budget:
                     break
                 met.append(other)
             else:
@@ -143,7 +139,8 @@ class _Occupancy:
         """Admit each message of `order` in turn to its first-fit pass: a loop
         of first_fit(m) and join, inlined."""
         # inlined: admission 50 %/22 % faster at b0/b1, against 11 %/10 % for one find-and-join call (ROADMAP aim 2)
-        keys, used, budget, passes = self.keys, self.used, self.budget, self.passes
+        keys, used, budget, shared = self.keys, self.used, self.budget, self.shared
+        passes, holders = self.passes, self.holders
         if not budget:
             for m in order:
                 held = keys[m]
@@ -155,9 +152,9 @@ class _Occupancy:
                 for key in held:
                     used[key] |= bit
                 if bit >> len(passes):
-                    passes.append(_Pass({m: 0}, []))
+                    passes.append([m])
                 else:
-                    passes[bit.bit_length() - 1].shared[m] = 0
+                    passes[bit.bit_length() - 1].append(m)
             return
         for m in order:
             held = keys[m]
@@ -171,26 +168,28 @@ class _Occupancy:
                 if not beside & bit:
                     met = ()
                     break
-                p = passes[bit.bit_length() - 1]
-                member, shared = p.member, p.shared
+                holder = holders[bit.bit_length() - 1]
                 met = []
                 for line in held:
                     if not used[line ^ 1] & bit:
                         continue
-                    other = member[line ^ 1]
+                    other = holder[line ^ 1]
                     if len(met) >= budget or shared[other] >= budget:
                         break
                     met.append(other)
                 else:
                     break
                 free ^= bit
-            if bit >> len(passes):
-                passes.append(_Pass({}, [0] * len(used)))
-            p = passes[bit.bit_length() - 1]
-            member, shared = p.member, p.shared
+            i = bit.bit_length() - 1
+            if i == len(passes):
+                passes.append([])
+                # a list, not join's dict: dicts made budget-1 greedy 17 % slower (ROADMAP aim 2)
+                holders.append([0] * len(used))
+            passes[i].append(m)
+            holder = holders[i]
             for line in held:
                 used[line] |= bit
-                member[line] = m
+                holder[line] = m
             shared[m] = len(met)
             for other in met:
                 shared[other] += 1
@@ -198,34 +197,30 @@ class _Occupancy:
     def join(self, i: int, m: int, met: list[int]) -> None:
         """Add m to pass i, opening it when i is one past the last pass."""
         if i == len(self.passes):
-            self.passes.append(_Pass({}, [0] * len(self.used) if self.budget else []))
-        p = self.passes[i]
-        bit = 1 << i
-        used = self.used
-        if self.budget:
-            member = p.member
-            for key in self.keys[m]:
-                used[key] |= bit
-                member[key] = m
-        else:
-            for key in self.keys[m]:
-                used[key] |= bit
-        p.shared[m] = len(met)
+            self.passes.append([])
+            self.holders.append({})
+        self.passes[i].append(m)
+        holder, used, shared, bit = self.holders[i], self.used, self.shared, 1 << i
+        for key in self.keys[m]:
+            used[key] |= bit
+            holder[key] = m
+        shared[m] = len(met)
         for other in met:
-            p.shared[other] += 1
+            shared[other] += 1
 
     def leave(self, i: int, m: int, met: list[int]) -> None:
-        """Undo join(i, m, met), closing pass i if m was its only member."""
-        p = self.passes[i]
+        """Undo join(i, m, met) for m, the latest join: pop m from pass i and
+        close the pass when it empties."""
         keep = ~(1 << i)
-        used = self.used
+        used, shared = self.used, self.shared
         for key in self.keys[m]:
             used[key] &= keep
         for other in met:
-            p.shared[other] -= 1
-        del p.shared[m]
-        if not p.shared:
+            shared[other] -= 1
+        self.passes[i].pop()
+        if not self.passes[i]:
             self.passes.pop()
+            self.holders.pop()
 
     def lower_bound(self) -> int:
         """Passes every legal schedule needs: the most messages on one
@@ -239,11 +234,12 @@ class _Occupancy:
         return int(max(on_line, -(-on_cell // 2) if self.budget else on_cell))
 
     def schedule(self, config: ScheduleConfig) -> Schedule:
-        passes = [sorted(p.shared) for p in self.passes]
+        passes = [sorted(members) for members in self.passes]
+        shared = self.shared
         return Schedule(
             passes=passes,
             config=config,
-            shared_counts=[{m: p.shared[m] for m in ms} for p, ms in zip(self.passes, passes)],
+            shared_counts=[{m: shared[m] for m in members} for members in passes],
         )
 
 

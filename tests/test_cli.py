@@ -204,6 +204,18 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["nope"]) == 2
 
 
+def test_out_of_memory_exits_2(perm_file, monkeypatch, capsys):
+    """A network too large to allocate is bad input, not an internal error:
+    exit 2 with one error line."""
+
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr("ominsim.cli.path_table", too_large)
+    assert run(["route", "--size", "8", "--perm", perm_file]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 8.00 TiB\n")
+
+
 
 @pytest.mark.parametrize("command", ["route", "conflicts", "schedule"])
 def test_non_utf8_map_exits_2(command, tmp_path, capsys):

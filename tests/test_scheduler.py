@@ -402,6 +402,14 @@ def test_greedy_equals_first_fit_reference(topology, size, data):
     assert (schedule.passes, schedule.shared_counts) == _first_fit_reference(net, perm, config)
 
 
+def _held(state):
+    """Per pass, the member on each key whose `used` bit is set for it."""
+    return [
+        {key: holder[key] for key, mask in enumerate(state.used) if mask >> i & 1}
+        for i, holder in enumerate(state.holders)
+    ]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0, 1, 2, None]), st.data())
 def test_fill_equals_a_loop_of_first_fit_and_join(topology, size, budget, data):
@@ -421,9 +429,9 @@ def test_fill_equals_a_loop_of_first_fit_and_join(topology, size, budget, data):
         i, met = looped.first_fit(m)
         looped.join(i, m, met)
     assert filled.used == looped.used
-    assert [list(p.shared.items()) for p in filled.passes] == [list(p.shared.items()) for p in looped.passes]
-    if budget != 0:
-        assert [p.member for p in filled.passes] == [p.member for p in looped.passes]
+    assert (filled.passes, filled.shared) == (looped.passes, looped.shared)
+    if budget != 0:  # fill keeps a list over every key, join a dict: compare the keys in use
+        assert _held(filled) == _held(looped)
 
 
 def _canonical_assignments(count, limit):
@@ -511,8 +519,8 @@ def _masks_from_members(net, perm, state, budget):
     width = net.size if budget != 0 else net.size // 2
     used = [0] * (width * net.stages)
     holder = {}
-    for i, p in enumerate(state.passes):
-        for m in p.shared:
+    for i, members in enumerate(state.passes):
+        for m in members:
             for k in range(net.stages):
                 key = k * width + (lines[m, k] if budget != 0 else lines[m, k] >> 1)
                 used[key] |= 1 << i
@@ -543,24 +551,24 @@ def test_occupancy_masks_equal_members(topology, size, budget, data):
             i = data.draw(st.sampled_from(sorted(fits)))
             state.join(i, m, fits[i])
             joined.append((i, m, fits[i]))
-        members = [sorted(m for j, m, _ in joined if j == i) for i in range(len(state.passes))]
-        assert [sorted(p.shared) for p in state.passes] == members
+        # each pass's members in join order, so `leave` pops the latest join
+        members = [[m for j, m, _ in joined if j == i] for i in range(len(state.passes))]
+        assert state.passes == members and len(state.holders) == len(members)
         # each member's shared-stage count: the stages where another member is on its switch
         switches = state.lines >> 1
-        for p, ms in zip(state.passes, members):
-            assert p.shared == {m: int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms}
+        for ms in members:
+            assert [state.shared[m] for m in ms] == [int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms]
         used, holder = _masks_from_members(net, perm, state, budget)
         assert state.used == used
-        if budget != 0:  # at budget 0 no pass records its holders
-            assert {(i, key): state.passes[i].member[key] for i, key in holder} == holder
+        assert {(i, key): state.holders[i][key] for i, key in holder} == holder
 
 
 def _legal_passes(net, perm, state, m, budget):
     """The passes m may join, by `validate_schedule` on each pass's members
     plus m as the one pass of their sub-map, then the new pass."""
     legal = []
-    for i, p in enumerate(state.passes):
-        sub = make_permutation([perm.pairs[q] for q in [*p.shared, m]], net.size)
+    for i, members in enumerate(state.passes):
+        sub = make_permutation([perm.pairs[q] for q in [*members, m]], net.size)
         schedule = Schedule([list(range(len(sub)))], ScheduleConfig(budget=budget), [])
         if not validate_schedule(net, sub, schedule).violations:
             legal.append(i)
@@ -584,7 +592,7 @@ def test_first_fit_is_the_lowest_legal_pass_from_start(topology, size, budget, d
         for start in range(len(state.passes) + 1):
             i, met = state.first_fit(m, start)
             assert i == min(c for c in legal if c >= start)
-            members = sorted(state.passes[i].shared) if i < len(state.passes) else []
+            members = sorted(state.passes[i]) if i < len(state.passes) else []
             assert sorted(met) == [q for q in members if (switches[q] == switches[m]).any()]
         i = data.draw(st.sampled_from(legal))
         state.join(i, m, state.first_fit(m, i)[1])
@@ -630,3 +638,18 @@ def test_exact_starts_at_the_lower_bound():
         schedule = schedule_exact(net, perm, exact_cfg(budget))
         assert len(schedule.passes) == 7
         assert not validate_schedule(net, perm, schedule).violations
+
+
+def test_exact_holders_grow_with_the_messages():
+    """Eighteen messages bound for one destination at N=65536 need a pass
+    each; the exact solver's occupancy keeps at most one holder per key of
+    its messages, where a list over every key would hold N·n per pass."""
+    net = build_network(65536, Topology.OMEGA)
+    perm = make_permutation([Message(s, 0) for s in range(0, 65536, 3641)], net.size)
+    for budget in (0, 1, None):
+        state = scheduler._Occupancy(net, perm, budget)
+        for m in range(len(perm)):
+            i, met = state.first_fit(m)
+            state.join(i, m, met)
+        assert sum(map(len, state.holders)) <= len(perm) * net.stages
+        assert schedule_exact(net, perm, exact_cfg(budget)).passes == [[m] for m in range(18)]
