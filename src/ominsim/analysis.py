@@ -47,8 +47,9 @@ Mode = int | None  # None = allow (link conflicts only), k >= 0 = crosstalk budg
 def check_mode(mode: Mode) -> Mode:
     """A mode is allow (None) or a budget >= 0.  Returns the mode, so that a
     list is checked as it is passed on: resolve_batch takes the lowest
-    budget unchecked, and at -1 it would sweep stages[-1:] with the count
-    at_least[-1] and drop messages that no rule names."""
+    budget unchecked, and at -1 it would start every allow survivor at
+    level -1 and run a budget -1 sweep over the last stage, whose drops no
+    rule names."""
     if mode is not None and mode < 0:
         raise OutOfRangeError(f"crosstalk budget must be >= 0, got {mode}")
     return mode
@@ -215,18 +216,23 @@ def _single_pass(net: NetworkSpec, modes: Sequence[Mode], chunks: Iterable[np.nd
     wanted = list(dict.fromkeys(modes))
     levels = [net.stages if m is None else min(m, net.stages) for m in wanted]
     lowest = min(levels, default=net.stages)
-    matured: list[list] = [[] for _ in wanted]
+    width = net.stages + 2  # levels 0 .. n + 1
+    matured = []
     offered = 0
     for dests in chunks:
         offered += int(np.count_nonzero(dests >= 0))
         level = resolve_batch(net, dests, lowest)
-        for counts, k in zip(matured, levels):
-            counts.append((level <= k).sum(axis=1))
+        # one bincount of trial * (n + 2) + level counts every trial's
+        # sources at each level, and its running sum those at or below it
+        trial = np.arange(len(level)) * width
+        counts = np.bincount((level + trial[:, None]).reshape(-1), minlength=trial.size * width)
+        matured.append(counts.reshape(-1, width).cumsum(axis=1))
+    survivors = np.concatenate(matured)
     stats = []
-    for m, counts in zip(wanted, matured):
-        arr = np.concatenate(counts).astype(float)
+    for m, k in zip(wanted, levels):
+        arr = survivors[:, k].astype(float)
         stderr = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-        stats.append(ModeStats(m, float(arr.mean()), stderr, (arr.sum() / offered) if offered else 0.0))
+        stats.append(ModeStats(m, float(arr.mean()), stderr, float(arr.sum() / offered) if offered else 0.0))
     return tuple(stats)
 
 
@@ -258,7 +264,7 @@ def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> fl
     """Fraction of the map's requests that mature in a single pass, resolved
     as one trial in which every source of the map requests."""
     stats = _single_pass(net, [check_mode(mode)], [permutation_dests(net, perm)[None]])
-    return float(stats[0].passability)
+    return stats[0].passability
 
 
 def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:

@@ -146,6 +146,15 @@ class TestMonteCarlo:
         assert report.modes[0].mean_matured == 0.0
         assert report.modes[0].passability == 0.0
 
+    @pytest.mark.parametrize("load", [1.0, 0.0])
+    def test_statistics_are_floats(self, omega8, load):
+        """Every statistic is a Python float, passability too, whether or
+        not anything was offered."""
+        for stat in monte_carlo(omega8, load, [None, 1, 0], trials=6, seed=4).modes:
+            assert type(stat.mean_matured) is float
+            assert type(stat.stderr) is float
+            assert type(stat.passability) is float
+
     def test_zero_trials_rejected(self, omega4):
         with pytest.raises(OutOfRangeError, match=r"^need at least one trial, got 0$"):
             monte_carlo(omega4, 1.0, [None], trials=0, seed=1)
@@ -237,6 +246,12 @@ class TestRandomPermutationStudy:
             rows = [generate_random_permutation(8, substream(2, t)).dests.tolist() for t in range(first, stop)]
             expected += [("solve", row) for row in rows] + [("resolve", rows)]
         assert events == expected
+
+    def test_statistics_are_floats(self, omega8):
+        for stat in random_permutation_study(omega8, 5, 2, ScheduleConfig(budget=1)).modes:
+            assert type(stat.mean_matured) is float
+            assert type(stat.stderr) is float
+            assert type(stat.passability) is float
 
     def test_zero_permutations_rejected(self, omega8):
         with pytest.raises(OutOfRangeError, match=r"^need at least one permutation, got 0$"):

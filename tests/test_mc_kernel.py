@@ -167,6 +167,25 @@ def test_kernel_matches_reference_at_n65536(topology):
             assert np.flatnonzero(kernel[mode][trial]).tolist() == sources, mode
 
 
+@pytest.mark.parametrize("topology", ["omega", "baseline"])
+@pytest.mark.parametrize("load", [1.0, 0.5])
+def test_kernel_matches_reference_at_n32768(topology, load):
+    """N = 2^15, n = 15: the largest network whose keys, up to the empty
+    key N << n = 2^30, fit 32 bits.  With the N=65536 test this pins both
+    sides of the key-width rule.  Every mode's survivors equal the
+    reference's, source by source."""
+    net = build_network(1 << 15, topology)
+    traffic, modes, seed = (load, None), [None, 2, 1, 0], 0x8000
+    dests = sampled(net, traffic, seed, 1)
+    kernel = kernel_masks(net, dests, modes)
+    requests = reference_requests(net, traffic, substream(seed, 0))
+    assert requests == [Message(s, int(d)) for s, d in enumerate(dests[0]) if d >= 0]
+    reference = resolve_single_pass(net, requests, modes)
+    for mode in modes:
+        sources = sorted(requests[m].source for m in reference[mode])
+        assert np.flatnonzero(kernel[mode][0]).tolist() == sources, mode
+
+
 @pytest.mark.parametrize("size", [4, 256])
 def test_full_load_sampling_replays_the_destination_draws(size):
     """At load 1 every line is active and sample_requests computes only
