@@ -114,6 +114,7 @@ def _allow_sweep(net: NetworkSpec, dests: np.ndarray) -> tuple[np.ndarray, np.nd
     lines = np.arange(size)
     # one row of keys per line, its trials side by side
     keys = np.where(dests.T >= 0, (lines[:, None] << n) | dests.T, empty).astype(key)
+    # filled even when allow runs alone: skipping it was faster or slower by glibc's mmap threshold (ROADMAP aim 2)
     entering = np.empty((n,) + keys.shape, dtype=np.intp)
     feeder = np.empty(size, dtype=np.intp)
     # where each line's keys are held: in line order on entry, then in port

@@ -199,6 +199,8 @@ def path_table(net: NetworkSpec, sources: Sequence[int], dests: Sequence[int]) -
 # Lines of two ASCII numbers of at most 18 digits, so no value overflows
 # int64, with no comment, sign, blank line or carriage return.
 _CANONICAL = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*\n)*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)?")
+# A field of the line loop: int() alone would also read "1_0" and non-ASCII digits.
+_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
@@ -226,13 +228,11 @@ def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
         if len(tokens) != 2:
             malformed = ParseError(f"expected 'SOURCE DESTINATION', got {raw.strip()!r}", lineno)
             break
-        try:
-            source, destination = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        if not (_FIELD.fullmatch(tokens[0]) and _FIELD.fullmatch(tokens[1])):
             malformed = ParseError(f"non-integer field in {raw.strip()!r}", lineno)
             break
-        sources.append(source)
-        dests.append(destination)
+        sources.append(int(tokens[0]))
+        dests.append(int(tokens[1]))
         linenos.append(lineno)
     source_array, dest_array = int_array(sources), int_array(dests)
     i = first_outside(net.size, source_array, dest_array)

@@ -44,7 +44,7 @@ class ScheduleConfig:
 class Schedule:
     passes: list[list[int]]
     config: ScheduleConfig
-    shared_counts: list[dict[int, int]]  # per pass: message -> shared-stage count
+    shared_counts: list[int]  # per message: shared-stage count in its pass
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,7 @@ class _Occupancy:
         return int(max(on_line, -(-on_cell // 2) if self.budget else on_cell))
 
     def schedule(self, config: ScheduleConfig) -> Schedule:
-        passes = [sorted(members) for members in self.passes]
-        shared = self.shared
-        return Schedule(
-            passes=passes,
-            config=config,
-            shared_counts=[{m: shared[m] for m in members} for members in passes],
-        )
+        return Schedule([sorted(members) for members in self.passes], config, self.shared)
 
 
 def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,11 @@ def test_parse_errors_carry_line_numbers(omega8):
     assert excinfo.value.line_number == 2
     with pytest.raises(ParseError):
         parse_permutation("0 1 2\n", omega8)
+    # int() alone reads underscores and non-ASCII digits; a field is ASCII digits with an optional sign
+    for line in ("1_0 2", "\uff10 1", "1 \u0662", "+-1 2"):
+        with pytest.raises(ParseError, match="^line 2: non-integer field in " + re.escape(repr(line)) + "$"):
+            parse_permutation(f"0 1\n{line}\n", omega8)
+    assert parse_permutation("+1 2\n", omega8).pairs == (Message(1, 2),)
 
 
 def test_duplicate_checks(omega8, omega4):
@@ -232,10 +239,11 @@ def reference_parse(text, size):
         tokens = stripped.split()
         if len(tokens) != 2:
             raise ParseError(f"expected 'SOURCE DESTINATION', got {stripped!r}", lineno)
-        try:
-            source, destination = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer field in {stripped!r}", lineno) from None
+        # a field is ASCII digits with an optional sign
+        digits = [token[1:] if token[0] in "+-" else token for token in tokens]
+        if not all(d.isascii() and d.isdigit() for d in digits):
+            raise ParseError(f"non-integer field in {stripped!r}", lineno)
+        source, destination = int(tokens[0]), int(tokens[1])
         if not (0 <= source < size and 0 <= destination < size):
             raise OutOfRangeError(f"line {lineno}: {source} {destination} outside [0, {size})")
         pairs.append((source, destination))
@@ -277,7 +285,7 @@ def permutation_texts(draw, size):
         blank,
         blank,
         st.lists(inside.map(str), min_size=1, max_size=3).map(" ".join),
-        st.sampled_from(["1 x", "x 1", "1.5 2", "0x1 2", "1 2 # tail"]),
+        st.sampled_from(["1 x", "x 1", "1.5 2", "0x1 2", "1 2 # tail", "1_0 2", "\uff10 1", "+ 1"]),
     )
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(noise))

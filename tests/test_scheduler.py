@@ -76,7 +76,8 @@ def test_exact_showcase_k0(omega8, showcase):
 def test_exact_showcase_k1(omega8, showcase):
     schedule = schedule_exact(omega8, showcase, exact_cfg(1))
     assert schedule.passes == [[0, 1, 2, 3], [4, 5, 6, 7]]
-    assert all(count <= 1 for counts in schedule.shared_counts for count in counts.values())
+    # the half split shares every message's middle-stage switch, and nothing else
+    assert schedule.shared_counts == [1] * len(showcase)
 
 
 def test_exact_showcase_unlimited(omega8, showcase):
@@ -358,7 +359,7 @@ def _first_fit_reference(net, perm, config):
     message, by ascending source or, for Welsh-Powell, by descending degree
     first, joins the first pass where it meets no member on a line and no
     member's shared stages, its own included, exceed the budget.
-    Returns (passes, shared_counts)."""
+    Returns (passes, shared_counts), one count per message."""
     count = len(perm.pairs)
     met = {}
     for a, b in combinations(range(count), 2):
@@ -385,7 +386,11 @@ def _first_fit_reference(net, perm, config):
                 break
         else:
             passes.append({m: set()})
-    return [sorted(p) for p in passes], [{m: len(p[m]) for m in sorted(p)} for p in passes]
+    counts = [0] * count
+    for p in passes:
+        for m, stages in p.items():
+            counts[m] = len(stages)
+    return [sorted(p) for p in passes], counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -461,6 +466,18 @@ def _smallest_valid_assignment(net, perm, budget):
     return []
 
 
+def _pass_mates_met(net, perm, passes):
+    """Per message, how many of its pass-mates its traced path meets at a
+    switch (`conflict_stages`); in a legal pass each meets it at one stage."""
+    counts = [0] * len(perm.pairs)
+    for members in passes:
+        for a, b in combinations(members, 2):
+            if conflict_stages(net, perm.pairs[a], perm.pairs[b]):
+                counts[a] += 1
+                counts[b] += 1
+    return counts
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
 def test_exact_equals_smallest_valid_assignment(topology, size, data):
@@ -471,6 +488,7 @@ def test_exact_equals_smallest_valid_assignment(topology, size, data):
     budget = data.draw(st.sampled_from([0, 1, None]))
     schedule = schedule_exact(net, perm, exact_cfg(budget))
     assert schedule.passes == _smallest_valid_assignment(net, perm, budget)
+    assert schedule.shared_counts == _pass_mates_met(net, perm, schedule.passes)
 
 
 @pytest.mark.parametrize("topology", list(Topology))
@@ -482,7 +500,9 @@ def test_exact_equals_smallest_valid_assignment_on_full_8_maps(topology):
     for _ in range(40):
         perm = full_permutation(net, rng.sample(range(8), 8))
         for budget in (0, 1, None):
-            assert schedule_exact(net, perm, exact_cfg(budget)).passes == _smallest_valid_assignment(net, perm, budget)
+            schedule = schedule_exact(net, perm, exact_cfg(budget))
+            assert schedule.passes == _smallest_valid_assignment(net, perm, budget)
+            assert schedule.shared_counts == _pass_mates_met(net, perm, schedule.passes)
 
 
 def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypatch):
