@@ -204,7 +204,8 @@ _FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
-    """Parse `SOURCE DESTINATION` lines; `#` starts a comment line.
+    """Parse `SOURCE DESTINATION` lines, split by spaces or tabs and ended
+    by LF, CRLF or CR; `#` starts a comment line.
 
     Errors come in line order: a malformed line or an endpoint outside the
     network, whichever comes first, then a repeated source, then a repeated
@@ -221,15 +222,17 @@ def parse_permutation(text: str, net: NetworkSpec) -> PermutationMap:
             return _checked(sources, dests, net.size)
     sources, dests, linenos = [], [], []
     malformed = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+    # str.splitlines() and str.split() would also break on U+2028, \x0c and any Unicode space
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        line = raw.strip(" \t")
+        if not line or line.startswith("#"):
             continue
+        tokens = re.split(r"[ \t]+", line)
         if len(tokens) != 2:
-            malformed = ParseError(f"expected 'SOURCE DESTINATION', got {raw.strip()!r}", lineno)
+            malformed = ParseError(f"expected 'SOURCE DESTINATION', got {line!r}", lineno)
             break
         if not (_FIELD.fullmatch(tokens[0]) and _FIELD.fullmatch(tokens[1])):
-            malformed = ParseError(f"non-integer field in {raw.strip()!r}", lineno)
+            malformed = ParseError(f"non-integer field in {line!r}", lineno)
             break
         sources.append(int(tokens[0]))
         dests.append(int(tokens[1]))

@@ -58,7 +58,6 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list[Violation]
-    semi_permutation_passes: list[bool]
 
 
 class _Occupancy:
@@ -345,14 +344,10 @@ def validate_schedule(
         if held.max(initial=0) < 2:
             shared = (held[0::2] + held[1::2] == 2)[cells >> 1].sum(axis=1)
             if config.budget is None or not (shared > config.budget).any():
-                semi = (np.bincount(lane[shared > 0], minlength=len(sizes)) == 0).tolist()
-                return ValidationReport(violations=[], semi_permutation_passes=semi)
+                return ValidationReport(violations=[])
     a, b, stage, link = shared_pairs(lines)
-    # a pass's pairs are those whose row a is one of its rows
-    cuts = np.searchsorted(a, np.cumsum([0, *sizes]))
-    semi = (cuts[:-1] == cuts[1:]).tolist()
     if not a.size:
-        return ValidationReport(violations=[], semi_permutation_passes=semi)
+        return ValidationReport(violations=[])
     at_pass = lane[a]
     a, b = order[a], order[b]
     links = zip(at_pass[link].tolist(), a[link].tolist(), b[link].tolist(), stage[link].tolist())
@@ -373,7 +368,7 @@ def validate_schedule(
             violations.append(Violation("budget", pi, (m,), tuple(at[s:e].tolist())))
         # per pass, link violations first; the sort is stable, so each kind keeps its order
         violations.sort(key=lambda v: (v.pass_index, v.kind == "budget"))
-    return ValidationReport(violations=violations, semi_permutation_passes=semi)
+    return ValidationReport(violations=violations)
 
 
 def schedule_json(net: NetworkSpec, perm: PermutationMap, schedule: Schedule) -> str:

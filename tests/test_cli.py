@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import ominsim
 from ominsim import (
     OutOfRangeError,
+    ValidationReport,
+    Violation,
     build_network,
     format_permutation,
     make_permutation,
@@ -214,6 +216,26 @@ def test_out_of_memory_exits_2(perm_file, monkeypatch, capsys):
     monkeypatch.setattr("ominsim.cli.path_table", too_large)
     assert run(["route", "--size", "8", "--perm", perm_file]) == 2
     assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 8.00 TiB\n")
+
+
+def test_invalid_emitted_schedule_exits_1(perm_file, monkeypatch, capsys):
+    """A schedule that fails its own validation is a bug, not bad input:
+    exit 1, nothing on stdout."""
+    violation = Violation("link", 0, (0, 1), (3,))
+    monkeypatch.setattr("ominsim.cli.validate_schedule", lambda *args: ValidationReport([violation]))
+    assert run(["schedule", "--size", "8", "--perm", perm_file]) == 1
+    assert capsys.readouterr() == ("", "internal error: emitted schedule has 1 violations\n")
+
+
+def test_unexpected_exception_exits_1(perm_file, monkeypatch, capsys):
+    """Any other exception is an internal error: exit 1 with one line."""
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ominsim.cli.path_table", broken)
+    assert run(["route", "--size", "8", "--perm", perm_file]) == 1
+    assert capsys.readouterr() == ("", "internal error: boom\n")
 
 
 

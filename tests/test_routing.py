@@ -203,6 +203,15 @@ def test_parse_errors_carry_line_numbers(omega8):
             parse_permutation(f"0 1\n{line}\n", omega8)
     assert parse_permutation("+1 2\n", omega8).pairs == (Message(1, 2),)
 
+    # lines end at LF, CRLF or CR alone, and fields are split by spaces and tabs alone
+    for text, error in [
+        ("0 1\n1 2\u20282 x\n", "line 2: expected 'SOURCE DESTINATION', got '1 2\\u20282 x'"),
+        ("0\u30001\n", "line 1: expected 'SOURCE DESTINATION', got '0\\u30001'"),
+        ("0 1\r1 2\r\n2 x\n", "line 3: non-integer field in '2 x'"),
+    ]:
+        with pytest.raises(ParseError, match="^" + re.escape(error) + "$"):
+            parse_permutation(text, omega8)
+
 
 def test_duplicate_checks(omega8, omega4):
     with pytest.raises(DuplicateSourceError):
@@ -230,13 +239,16 @@ def test_roundtrip_format_parse(dests):
 
 def reference_parse(text, size):
     """The scalar parser: one line, then one message, at a time.  Returns
-    the (source, destination) pairs or raises as parse_permutation must."""
+    the (source, destination) pairs or raises as parse_permutation must.
+    A line ends at LF, CRLF or CR, and fields are split by spaces and tabs
+    alone."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip(" \t")
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = stripped.split()
+        tokens = [token for token in stripped.replace("\t", " ").split(" ") if token]
         if len(tokens) != 2:
             raise ParseError(f"expected 'SOURCE DESTINATION', got {stripped!r}", lineno)
         # a field is ASCII digits with an optional sign
@@ -286,6 +298,8 @@ def permutation_texts(draw, size):
         blank,
         st.lists(inside.map(str), min_size=1, max_size=3).map(" ".join),
         st.sampled_from(["1 x", "x 1", "1.5 2", "0x1 2", "1 2 # tail", "1_0 2", "\uff10 1", "+ 1"]),
+        # separators that str.splitlines() or str.split() would honour
+        st.sampled_from(["1 2\u20282 x", "0\u30001", "1\x0c2", "\u3000", "1 2\x85"]),
     )
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(noise))
