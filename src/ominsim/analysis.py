@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateSourceError, OutOfRangeError
-from .mc_kernel import permutation_dests, resolve_batch, sample_requests, trial_chunks
-from .routing import Message, PermutationMap, path_table
+from .mc_kernel import resolve_batch, sample_requests, trial_chunks
+from .routing import Message, PermutationMap, first_outside, path_table
 from .scheduler import Algorithm, ScheduleConfig, schedule_exact, schedule_greedy
 from .streams import Stream, check_seed, substream
 from .topology import NetworkSpec
@@ -262,23 +262,27 @@ def monte_carlo(net: NetworkSpec, load: float, modes: Sequence[Mode], trials: in
 
 def passability(net: NetworkSpec, perm: PermutationMap, mode: Mode = None) -> float:
     """Fraction of the map's requests that mature in a single pass, resolved
-    as one trial in which every source of the map requests."""
-    stats = _single_pass(net, [check_mode(mode)], [permutation_dests(net, perm)[None]])
-    return stats[0].passability
+    as one trial in which every source of the map requests.  The map may
+    have been built for a larger network if its endpoints fit this one."""
+    check_mode(mode)
+    i = first_outside(net.size, perm.sources, perm.dests)
+    if i < len(perm):
+        raise OutOfRangeError(f"endpoints of {perm.sources[i]}->{perm.dests[i]} outside [0, {net.size})")
+    dests = np.full((1, net.size), -1, dtype=np.int64)
+    dests[0, perm.sources] = perm.dests
+    return _single_pass(net, [mode], [dests])[0].passability
 
 
-def generate_random_permutation(size: int, stream: Stream) -> PermutationMap:
-    """Uniform random full permutation via a stream-driven Fisher-Yates shuffle.
+def generate_random_permutation(net: NetworkSpec, stream: Stream) -> PermutationMap:
+    """Uniform random full permutation of net via a stream-driven Fisher-Yates shuffle.
 
-    A shuffle of range(size) cannot repeat a source or a destination, so the
+    A shuffle of range(N) cannot repeat a source or a destination, so the
     map is built without full_permutation's checks."""
-    if size < 4 or size & (size - 1):
-        raise OutOfRangeError(f"permutation size must be a power of two >= 4, got {size}")
-    dest = list(range(size))
-    for i in range(size - 1, 0, -1):
+    dest = list(range(net.size))
+    for i in range(net.size - 1, 0, -1):
         j = stream.below(i + 1)
         dest[i], dest[j] = dest[j], dest[i]
-    return PermutationMap(np.arange(size), dest, size)
+    return PermutationMap(np.arange(net.size), dest)
 
 
 def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: ScheduleConfig) -> SimReport:
@@ -297,7 +301,7 @@ def random_permutation_study(net: NetworkSpec, trials: int, seed: int, config: S
     def chunks():
         # a chunk is scheduled before it is yielded, so a solver's error comes before any resolving
         for first, stop in trial_chunks(net, trials):
-            perms = [generate_random_permutation(net.size, substream(seed, t)) for t in range(first, stop)]
+            perms = [generate_random_permutation(net, substream(seed, t)) for t in range(first, stop)]
             histogram.update(len(solve(net, perm, config).passes) for perm in perms)
             yield np.stack([perm.dests for perm in perms])
 

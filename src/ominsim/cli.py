@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .conflict import edges_csv, shared_pairs
 from .errors import ParseError, SimulatorError
-from .routing import parse_permutation, path_table
+from .routing import _FIELD, parse_permutation, path_table
 from .scheduler import (
     Algorithm,
     ScheduleConfig,
@@ -65,26 +65,36 @@ def _emit(text: str, path: str | None) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
+def _integer(token: str) -> int:
+    """The argparse type of the integer flags: token, less spaces and tabs
+    around it, read by the map-field rule (ASCII digits with an optional
+    sign); int() alone would also read "1_0" and non-ASCII digits."""
+    field = token.strip(" \t")
+    if not _FIELD.fullmatch(field):
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+    return int(field)
+
+
 def _parse_budget(token: str) -> int | None:
-    if token.lower() == "unlimited":
+    if token.strip(" \t").lower() == "unlimited":
         return None
     try:
-        value = int(token)
-    except ValueError:
+        value = _integer(token)
+    except argparse.ArgumentTypeError:
         raise ParseError(f"budget must be an integer or 'unlimited', got {token!r}") from None
     return value
 
 
 def _parse_mode(token: str) -> Mode:
-    token = token.strip().lower()
+    token = token.strip(" \t").lower()
     if token == "allow":
         return None
     if token == "free":
         return 0
     if token.startswith("budget="):
         try:
-            value = int(token[len("budget="):])
-        except ValueError:
+            value = _integer(token[len("budget="):])
+        except argparse.ArgumentTypeError:
             raise ParseError(f"bad crosstalk mode {token!r}") from None
         return check_mode(value)
     raise ParseError(f"bad crosstalk mode {token!r}: expected allow, free, or budget=K")
@@ -132,8 +142,8 @@ def _cmd_schedule(args) -> int:
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        sizes = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
+        sizes = [_integer(tok) for tok in text.split(",") if tok]
+    except argparse.ArgumentTypeError:
         raise ParseError(f"--sizes must be comma-separated integers, got {text!r}") from None
     if not sizes:
         raise ParseError(f"--sizes must list at least one size, got {text!r}")
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--size", type=int, required=True, help="network size (power of two >= 4)")
+        p.add_argument("--size", type=_integer, required=True, help="network size (power of two >= 4)")
         p.add_argument("--topology", default="omega", help="omega or baseline")
         p.add_argument("--perm", required=True, help="permutation file (SOURCE DESTINATION lines)")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
@@ -260,17 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="analytic", choices=["analytic", "simulate"])
     p.add_argument("--crosstalk", default="free", help="comma list of allow|free|budget=K")
     p.add_argument("--load", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_integer, default=10000)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_bandwidth)
 
     p = sub.add_parser("simulate", help="random-permutation study: maturation and pass counts")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
     p.add_argument("--topology", default="omega")
-    p.add_argument("--random-perms", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--random-perms", type=_integer, default=100)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--budget", default="0")
     p.add_argument("--algorithm", default="greedy", choices=[a.value for a in Algorithm])
     p.add_argument("--output", default=None)

@@ -12,7 +12,9 @@ class OutOfRangeError(SimulatorError):
 
 
 class ParseError(SimulatorError):
-    """A permutation file line that is not two integers, with its line_number."""
+    """Input that cannot be read: a permutation file line that is not two
+    integers, with its line_number; a file the CLI cannot read or write; or
+    a malformed CLI flag value (a budget, crosstalk mode or size list)."""
 
     def __init__(self, message: str, line_number: int | None = None):
         if line_number is not None:

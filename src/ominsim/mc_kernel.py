@@ -2,8 +2,8 @@
 chunk of trials at once, equal trial by trial to resolve_single_pass.
 
 monte_carlo and the random-permutation study cut their trials into the
-chunks of trial_chunks, CHUNK_CELLS // N trials each, and passability hands
-its one map over as a single trial.  A chunk is sampled in one pass
+chunks of trial_chunks, CHUNK_CELLS // N trials each, and passability
+scatters its one map into one row.  A chunk is sampled in one pass
 (sample_requests draws uniform requests at a load; the study stacks
 random permutations), and one loop, the analysis module's _single_pass,
 resolves it stage by stage across all of its trials (resolve_batch):
@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .routing import PermutationMap, first_outside
 from .streams import _GOLDEN, MASK64, stream_draws, trial_states
 from .topology import NetworkSpec, wiring
 
@@ -60,19 +58,6 @@ def trial_chunks(net: NetworkSpec, trials: int) -> list[tuple[int, int]]:
     """(first, stop) of each run of CHUNK_CELLS // N trials, the last cut short."""
     chunk = max(1, CHUNK_CELLS // net.size)
     return [(first, min(first + chunk, trials)) for first in range(0, trials, chunk)]
-
-
-def permutation_dests(net: NetworkSpec, perm: PermutationMap) -> np.ndarray:
-    """Destination of every source under a fixed map; -1 where it has none.
-    The map's endpoints lie in [0, perm.size); one built for a larger
-    network must also fit this one."""
-    if perm.size > net.size:
-        i = first_outside(net.size, perm.sources, perm.dests)
-        if i < len(perm):
-            raise OutOfRangeError(f"endpoints of {perm.sources[i]}->{perm.dests[i]} outside [0, {net.size})")
-    dests = np.full(net.size, -1, dtype=np.int64)
-    dests[perm.sources] = perm.dests
-    return dests
 
 
 def sample_requests(net: NetworkSpec, load: float, seed: int, first: int, count: int) -> np.ndarray:

@@ -33,16 +33,15 @@ class PermutationMap:
     """An ordered set of messages with distinct sources, held as two
     read-only integer arrays: message i runs sources[i] -> dests[i].
 
-    A map with exactly `size` entries is a full permutation (destinations
-    are then distinct as well); anything shorter is partial and may
-    repeat destinations.  make_permutation, full_permutation and
-    parse_permutation check a map once, as they build it; the constructor
-    trusts its arrays.
+    A map with one entry per input of its network is a full permutation
+    (destinations are then distinct as well); anything shorter is partial
+    and may repeat destinations.  make_permutation, full_permutation and
+    parse_permutation check a map once, as they build it, against the
+    network's size; the constructor trusts its arrays.
     """
 
     sources: np.ndarray
     dests: np.ndarray
-    size: int
 
     def __post_init__(self):
         for name in ("sources", "dests"):
@@ -62,14 +61,10 @@ class PermutationMap:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.size == other.size
-            and np.array_equal(self.sources, other.sources)
-            and np.array_equal(self.dests, other.dests)
-        )
+        return np.array_equal(self.sources, other.sources) and np.array_equal(self.dests, other.dests)
 
     def __hash__(self) -> int:
-        return hash((self.size, self.sources.tobytes(), self.dests.tobytes()))
+        return hash((self.sources.tobytes(), self.dests.tobytes()))
 
 
 def int_array(values: Iterable[int]) -> np.ndarray:
@@ -119,7 +114,7 @@ def _checked(sources: np.ndarray, dests: np.ndarray, size: int) -> PermutationMa
         dest = first_repeat(dests, size)
         if dest is not None:
             raise DuplicateDestinationError(f"destination {dest} listed twice in a full permutation")
-    return PermutationMap(sources, dests, size)
+    return PermutationMap(sources, dests)
 
 
 def make_permutation(pairs: Iterable[Message], size: int) -> PermutationMap:

@@ -106,7 +106,7 @@ def test_criterion_4_scheduling_soundness():
         for size in (8, 16):
             net = build_network(size, Topology.OMEGA)
             for index in range(1000):
-                perm = generate_random_permutation(size, substream(2024, index))
+                perm = generate_random_permutation(net, substream(2024, index))
                 max_degree = degrees(conflict_pairs(net, perm), size).max()
                 for budget in (0, 1):
                     config = ScheduleConfig(budget=budget)

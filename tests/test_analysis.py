@@ -210,7 +210,7 @@ class TestRandomPermutationStudy:
         matured = {mode: [] for mode in (None, budget, 0)}
         histogram = Counter()
         for t in range(40):
-            perm = generate_random_permutation(8, substream(5, t))
+            perm = generate_random_permutation(net, substream(5, t))
             survivors = resolve_single_pass(net, perm.pairs, budgets=[budget, 0])
             for mode, values in matured.items():
                 values.append(len(survivors[mode]))
@@ -243,7 +243,7 @@ class TestRandomPermutationStudy:
             random_permutation_study(omega8, 7, 2, ScheduleConfig(budget=1))
         expected = []
         for first, stop in [(0, 3), (3, 6), (6, 7)]:
-            rows = [generate_random_permutation(8, substream(2, t)).dests.tolist() for t in range(first, stop)]
+            rows = [generate_random_permutation(omega8, substream(2, t)).dests.tolist() for t in range(first, stop)]
             expected += [("solve", row) for row in rows] + [("resolve", rows)]
         assert events == expected
 
@@ -261,8 +261,9 @@ class TestRandomPermutationStudy:
     def test_generated_map_equals_checked_map(self, size):
         """The shuffle's map skips make_permutation's checks; rebuilding it
         through them must accept it and give an equal map."""
+        net = build_network(size, "omega")
         for seed in range(5):
-            perm = generate_random_permutation(size, substream(seed, size))
+            perm = generate_random_permutation(net, substream(seed, size))
             assert perm == make_permutation(perm.pairs, size)
 
 

@@ -287,20 +287,19 @@ def test_unwritable_output_exits_2(argv, target, perm_file, tmp_path, capsys):
 
 
 def test_generate_random_permutation_contract():
-    first = generate_random_permutation(8, substream(17, 0))
-    again = generate_random_permutation(8, substream(17, 0))
+    net = build_network(8, "omega")
+    first = generate_random_permutation(net, substream(17, 0))
+    again = generate_random_permutation(net, substream(17, 0))
     assert first == again
     assert sorted(first.dests.tolist()) == list(range(8))
-    assert len(first) == first.size
-    with pytest.raises(OutOfRangeError, match=r"^permutation size must be a power of two >= 4, got 6$"):
-        generate_random_permutation(6, substream(17, 0))
+    assert len(first) == net.size
 
 
 def test_written_permutation_reparses(tmp_path, capsys):
-    perm = generate_random_permutation(16, substream(23, 4))
+    net = build_network(16, "omega")
+    perm = generate_random_permutation(net, substream(23, 4))
     path = tmp_path / "random.perm"
     path.write_text(format_permutation(perm))
-    net = build_network(16, "omega")
     assert parse_permutation(path.read_text(), net) == perm
 
 
@@ -352,10 +351,25 @@ def test_empty_crosstalk_exits_2(crosstalk, capsys):
             ["simulate", "--size", "64", "--algorithm", "exact", "--random-perms", "1"],
             "error: 64 messages exceed the exact-solver cap of 20\n",
         ),
+        # int() alone would read "1_0" as 10 and "\u0661" as 1: a value is a map field
+        (
+            ["schedule", "--size", "8", "--perm", "PERM", "--budget", "1_0"],
+            "error: budget must be an integer or 'unlimited', got '1_0'\n",
+        ),
+        (
+            ["schedule", "--size", "8", "--perm", "PERM", "--budget", "\u0661"],
+            "error: budget must be an integer or 'unlimited', got '\u0661'\n",
+        ),
+        (
+            ["bandwidth", "--sizes", "8", "--mode", "simulate", "--crosstalk", "budget=1_0"],
+            "error: bad crosstalk mode 'budget=1_0'\n",
+        ),
+        (["bandwidth", "--sizes", "8,1_6"], "error: --sizes must be comma-separated integers, got '8,1_6'\n"),
     ],
     ids=[
         "schedule-budget", "crosstalk-budget", "zero-trials", "zero-perms", "analytic-crosstalk", "nan-load",
         "load-before-trials", "size-not-power-of-two", "unknown-topology", "exact-cap",
+        "budget-underscore", "budget-arabic-digit", "crosstalk-underscore", "sizes-underscore",
     ],
 )
 def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
@@ -366,6 +380,35 @@ def test_bad_value_exits_2_with_one_line(argv, err, perm_file, capsys):
     count."""
     assert run([perm_file if a == "PERM" else a for a in argv]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["route", "--size", "1_6", "--perm", "PERM"], "--size", "1_6"),
+        (["bandwidth", "--sizes", "8", "--trials", "1_0"], "--trials", "1_0"),
+        (["bandwidth", "--sizes", "8", "--seed", "\u0663"], "--seed", "\u0663"),
+        (["simulate", "--size", "8", "--random-perms", "1_0"], "--random-perms", "1_0"),
+        (["simulate", "--size", "x"], "--size", "x"),
+    ],
+    ids=["size-underscore", "trials-underscore", "seed-arabic-digit", "random-perms-underscore", "size-word"],
+)
+def test_integer_flags_follow_the_map_field_rule(argv, flag, value, perm_file, capsys):
+    """argparse names the flag and the value, and exits 2."""
+    assert run([perm_file if a == "PERM" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f": error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("budget, plain", [(" unlimited", "unlimited"), (" 1 ", "1"), ("\t+0", "0")])
+def test_budget_between_spaces_and_tabs(budget, plain, perm_file, capsys):
+    """A budget reads alike with spaces and tabs around it, "unlimited" too."""
+    argv = ["schedule", "--size", "8", "--perm", perm_file, "--budget"]
+    assert run(argv + [plain]) == 0
+    expected = capsys.readouterr()
+    assert run(argv + [budget]) == 0
+    assert capsys.readouterr() == expected
 
 
 def test_public_errors():

@@ -28,7 +28,7 @@ from ominsim import (
     validate_schedule,
 )
 from ominsim import mc_kernel
-from ominsim.mc_kernel import permutation_dests, resolve_batch, sample_requests
+from ominsim.mc_kernel import resolve_batch, sample_requests
 
 from .conftest import fixed_maps, networks
 
@@ -64,7 +64,11 @@ def sampled(net, traffic, seed, trials):
     do."""
     load, perm = traffic
     dests = sample_requests(net, load, seed, 0, trials)
-    return dests if perm is None else np.where(dests >= 0, permutation_dests(net, perm), -1)
+    if perm is None:
+        return dests
+    row = np.full(net.size, -1)
+    row[perm.sources] = perm.dests
+    return np.where(dests >= 0, row, -1)
 
 
 def mode_level(net, mode):
@@ -448,8 +452,11 @@ def test_extreme_seeds_match_reference(omega8, seed):
 
 def test_map_outside_network_rejected(omega4):
     perm = make_permutation([Message(0, 5)], 8)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError, match=r"^endpoints of 0->5 outside \[0, 4\)$"):
         passability(omega4, perm, None)
+    # the mode is checked before the map
+    with pytest.raises(OutOfRangeError, match=r"^crosstalk budget must be >= 0, got -1$"):
+        passability(omega4, perm, -1)
 
 
 def test_larger_map_inside_network_accepted(omega4):

@@ -60,7 +60,7 @@ def test_welsh_powell_showcase(omega8, showcase):
 def test_greedy_single_message(omega4):
     perm = full_permutation(omega4, [0, 1, 2, 3])
     single = make_permutation(perm.pairs[:1], 4)
-    assert len(single) < single.size and len(perm) == perm.size
+    assert len(single) < omega4.size and len(perm) == omega4.size
     for budget in (0, 1, None):
         assert len(schedule_greedy(omega4, single, ScheduleConfig(budget=budget)).passes) == 1
 
