@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -73,6 +74,21 @@ def _integer(token: str) -> int:
     if not _FIELD.fullmatch(field):
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
     return int(field)
+
+
+# The text of a --load: ASCII decimal, or nan and inf in any case, which
+# the range check then names; float() alone would also read "0_5" and
+# non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|nan|inf)", re.IGNORECASE)
+
+
+def _decimal(token: str) -> float:
+    """The argparse type of --load: token, less spaces and tabs around it,
+    read by the field rule of the integer flags widened to decimals."""
+    field = token.strip(" \t")
+    if not _DECIMAL.fullmatch(field):
+        raise argparse.ArgumentTypeError(f"invalid float value: {token!r}")
+    return float(field)
 
 
 def _parse_budget(token: str) -> int | None:
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="omega")
     p.add_argument("--mode", default="analytic", choices=["analytic", "simulate"])
     p.add_argument("--crosstalk", default="free", help="comma list of allow|free|budget=K")
-    p.add_argument("--load", type=float, default=1.0)
+    p.add_argument("--load", type=_decimal, default=1.0)
     p.add_argument("--trials", type=_integer, default=10000)
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--format", default="csv", choices=["csv", "json"])

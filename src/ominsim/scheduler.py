@@ -61,7 +61,7 @@ class ValidationReport:
 
 
 class _Occupancy:
-    """Passes under construction, and the admission rule all schedulers use.
+    """Passes under construction by first fit, for greedy and Welsh-Powell.
 
     A pass is legal exactly when no two members share an out-line and no
     member shares more than `budget` stages.  Passes are bits of integer
@@ -70,11 +70,11 @@ class _Occupancy:
     stage k + 1, and its half, k·N/2 + switch, numbers each (stage, switch).
     At budget 0, where any shared switch is one too many, a message's keys
     are its switches; at budget ≥ 1 they are its out-lines, and a switch's
-    mask is the OR of its two out-lines'.  `first_fit(m, start)` is the one
-    admission rule, which `fill` runs inline over a whole order: OR-ing m's
-    masks once gives the passes it cannot join (a shared switch at budget
-    0, a shared line at budget ≥ 1) and, at budget ≥ 1, those in which it
-    would share a switch; only the latter are checked against the budget.
+    mask is the OR of its two out-lines'.  `fill` admits each message of an
+    order in turn: OR-ing its masks once gives the passes it cannot join (a
+    shared switch at budget 0, a shared line at budget ≥ 1) and, at budget
+    ≥ 1, those in which it would share a switch; only the latter are
+    checked against the budget.
 
     In a pass a message shares no line in, each switch it would share holds
     exactly one member, the one leaving on the other out-line: a second
@@ -85,9 +85,8 @@ class _Occupancy:
     switch is one stage for the message and one for a different member.
     `shared` is each message's shared-stage count (it sits in one pass),
     `passes` each pass's members in join order, and `holders` each pass's
-    member on a key, read while the pass's bit is set for it: a list over
-    every key at budget ≥ 1 in `fill` (none at budget 0), and in `join`,
-    the exact solver's, a dict of its members' keys, which grows with M·n.
+    member on every key, read while the pass's bit is set for it (at
+    budget ≥ 1 only).
     """
 
     def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
@@ -99,44 +98,11 @@ class _Occupancy:
         self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
         self.shared = [0] * len(perm)
         self.passes: list[list[int]] = []
-        self.holders: list[list[int] | dict[int, int]] = []
-
-    def first_fit(self, m: int, start: int = 0) -> tuple[int, list[int]]:
-        """The first pass from `start` on that m can join, and the members it
-        would meet there; len(passes), a new pass, when no open one takes m."""
-        keys, used, budget, shared = self.keys[m], self.used, self.budget, self.shared
-        blocked = beside = 0
-        if budget:
-            for line in keys:
-                blocked |= used[line]
-                beside |= used[line ^ 1]
-        else:
-            for key in keys:
-                blocked |= used[key]
-        # bit len(passes) is clear in every mask, so the walk ends there at the latest
-        free = ~blocked & -(1 << start)
-        while True:
-            bit = free & -free
-            i = bit.bit_length() - 1
-            if not beside & bit:
-                return i, []
-            holder = self.holders[i]
-            met = []
-            for line in keys:
-                if not used[line ^ 1] & bit:
-                    continue
-                # one more shared stage for both m and the member beside it
-                other = holder[line ^ 1]
-                if len(met) >= budget or shared[other] >= budget:
-                    break
-                met.append(other)
-            else:
-                return i, met
-            free ^= bit
+        self.holders: list[list[int]] = []
 
     def fill(self, order: list[int]) -> None:
-        """Admit each message of `order` in turn to its first-fit pass: a loop
-        of first_fit(m) and join, inlined."""
+        """Admit each message of `order` in turn to the first pass it may join,
+        opening a new pass when no open one takes it."""
         # inlined: admission 50 %/22 % faster at b0/b1, against 11 %/10 % for one find-and-join call (ROADMAP aim 2)
         keys, used, budget, shared = self.keys, self.used, self.budget, self.shared
         passes, holders = self.passes, self.holders
@@ -182,7 +148,7 @@ class _Occupancy:
             i = bit.bit_length() - 1
             if i == len(passes):
                 passes.append([])
-                # a list, not join's dict: dicts made budget-1 greedy 17 % slower (ROADMAP aim 2)
+                # a list over every key: a dict of the members' keys made budget-1 greedy 17 % slower (ROADMAP aim 2)
                 holders.append([0] * len(used))
             passes[i].append(m)
             holder = holders[i]
@@ -193,45 +159,6 @@ class _Occupancy:
             for other in met:
                 shared[other] += 1
 
-    def join(self, i: int, m: int, met: list[int]) -> None:
-        """Add m to pass i, opening it when i is one past the last pass."""
-        if i == len(self.passes):
-            self.passes.append([])
-            self.holders.append({})
-        self.passes[i].append(m)
-        holder, used, shared, bit = self.holders[i], self.used, self.shared, 1 << i
-        for key in self.keys[m]:
-            used[key] |= bit
-            holder[key] = m
-        shared[m] = len(met)
-        for other in met:
-            shared[other] += 1
-
-    def leave(self, i: int, m: int, met: list[int]) -> None:
-        """Undo join(i, m, met) for m, the latest join: pop m from pass i and
-        close the pass when it empties."""
-        keep = ~(1 << i)
-        used, shared = self.used, self.shared
-        for key in self.keys[m]:
-            used[key] &= keep
-        for other in met:
-            shared[other] -= 1
-        self.passes[i].pop()
-        if not self.passes[i]:
-            self.passes.pop()
-            self.holders.pop()
-
-    def lower_bound(self) -> int:
-        """Passes every legal schedule needs: the most messages on one
-        (stage, out-line), and the most on one (stage, switch), or half that
-        rounded up at budget ≥ 1, as a legal pass holds at most two members
-        on a switch."""
-        if not self.lines.size:
-            return 0
-        on_line = np.bincount(self.lines.ravel()).max()
-        on_cell = np.bincount((self.lines >> 1).ravel()).max()
-        return int(max(on_line, -(-on_cell // 2) if self.budget else on_cell))
-
     def schedule(self, config: ScheduleConfig) -> Schedule:
         return Schedule([sorted(members) for members in self.passes], config, self.shared)
 
@@ -240,9 +167,9 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     """First-fit pass assignment in ascending source order.
 
     Welsh-Powell is the same first-fit rule over a degree-descending order
-    (ties broken by ascending source); it is the only scheduler that finds
-    the conflicting pairs (`shared_pairs`), for the degrees.  A singleton
-    pass is always feasible, so this never fails.
+    (ties broken by ascending source); it finds the conflicting pairs
+    (`shared_pairs`) for the degrees, which plain greedy never does.  A
+    singleton pass is always feasible, so this never fails.
     """
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
@@ -256,6 +183,19 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     return state.schedule(config)
 
 
+def _lower_bound(net: NetworkSpec, lines: np.ndarray, budget: int | None) -> int:
+    """Passes every legal schedule of the path table `lines` needs: the most
+    messages on one (stage, out-line), and the most on one (stage, switch),
+    or half that rounded up at budget ≥ 1 and unlimited, as a legal pass
+    holds at most two members on a switch."""
+    if not lines.size:
+        return 0
+    keys = lines + net.size * np.arange(net.stages)
+    on_line = np.bincount(keys.ravel()).max()
+    on_cell = np.bincount((keys >> 1).ravel()).max()
+    return int(max(on_line, on_cell if budget == 0 else -(-on_cell // 2)))
+
+
 def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
     """Minimal pass count by iterative deepening over the pass budget.
 
@@ -263,35 +203,73 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     trying pass 0, 1, ... and opening at most one new pass per step; the
     first complete assignment found this way is the lexicographically
     smallest feasible assignment vector, which makes the output byte-stable.
-    The deepening starts at the occupancy's lower bound, as every smaller
-    count fails anyway.  A map with no messages gets no passes.
+    The deepening starts at `_lower_bound`, as every smaller count fails
+    anyway.  A map with no messages gets no passes.
+
+    The search reads only the conflicting pairs (`shared_pairs`).  A pair
+    that meets on an out-line never shares a pass; one that meets on a
+    switch only shares exactly one stage, as paths that part at a switch
+    never meet again.  So a message may join a pass when none of its
+    earlier line partners is there and at most `budget` of its earlier
+    switch partners are, none of them already at the budget.  `bit` holds
+    each placed message's pass as a bit, `shared` each message's
+    shared-stage count, and `passes` each pass's members.
     """
     if config.algorithm is not Algorithm.EXACT:
         raise ValueError(f"exact scheduler got algorithm {config.algorithm}")
     count = len(perm)
     if count > EXACT_CAP:
         raise OutOfRangeError(f"{count} messages exceed the exact-solver cap of {EXACT_CAP}")
-    state = _Occupancy(net, perm, config.budget)
+    lines = path_table(net, perm.sources, perm.dests)
+    # no message has more than net.stages stages to share
+    budget = net.stages if config.budget is None else config.budget
+    on_line: list[list[int]] = [[] for _ in range(count)]
+    on_switch: list[list[int]] = [[] for _ in range(count)]
+    a, b, _, link = shared_pairs(lines)
+    for x, y, same in zip(a.tolist(), b.tolist(), link.tolist()):
+        (on_line if same else on_switch)[y].append(x)
+    bit = [0] * count
+    shared = [0] * count
+    passes: list[list[int]] = []
 
-    def assign(i: int, limit: int) -> bool:
-        if i == count:
+    def assign(m: int, limit: int) -> bool:
+        if m == count:
             return True
-        c, met = state.first_fit(i)
-        while c < limit:
-            state.join(c, i, met)
-            if assign(i + 1, limit):
+        blocked = beside = 0
+        for other in on_line[m]:
+            blocked |= bit[other]
+        for other in on_switch[m]:
+            beside |= bit[other]
+        # the open passes m shares no line in, and the new pass, below limit
+        free = ~blocked & ((1 << min(limit, len(passes) + 1)) - 1)
+        while free:
+            here = free & -free
+            free ^= here
+            met = [other for other in on_switch[m] if bit[other] == here] if beside & here else []
+            if len(met) > budget or any(shared[other] >= budget for other in met):
+                continue
+            c = here.bit_length() - 1
+            if c == len(passes):
+                passes.append([])
+            passes[c].append(m)
+            bit[m] = here
+            shared[m] = len(met)
+            for other in met:
+                shared[other] += 1
+            if assign(m + 1, limit):
                 return True
-            state.leave(c, i, met)
-            if c == len(state.passes):  # the new pass, the last one to try
-                break
-            c, met = state.first_fit(i, c + 1)
+            for other in met:
+                shared[other] -= 1
+            passes[c].pop()
+            if not passes[c]:
+                passes.pop()
         return False
 
-    # a failed search undoes every join, so each limit starts from no passes
-    for limit in range(state.lower_bound(), count + 1):
+    # a failed search undoes every placement, so each limit starts from no passes
+    for limit in range(_lower_bound(net, lines, config.budget), count + 1):
         if assign(0, limit):
             break
-    return state.schedule(config)
+    return Schedule([sorted(members) for members in passes], config, shared)
 
 
 def validate_schedule(

@@ -401,6 +401,38 @@ def test_integer_flags_follow_the_map_field_rule(argv, flag, value, perm_file, c
     assert err.endswith(f": error: argument {flag}: invalid int value: {value!r}\n")
 
 
+@pytest.mark.parametrize(
+    "load, outcome",
+    [
+        ("0_5", "invalid"),
+        ("\u0660.\u0665", "invalid"),
+        ("1e0", "1.0"),
+        (" 0.5 ", "0.5"),
+        ("nan", "error: load must lie in [0, 1], got nan\n"),
+    ],
+    ids=["underscore", "arabic-indic-digits", "exponent", "spaces", "nan"],
+)
+def test_load_follows_the_field_rule(load, outcome, capsys):
+    """A load is ASCII decimal text, or nan or inf, between spaces or tabs:
+    float() alone would also read "0_5" and non-ASCII digits.  Text that
+    reads is a load, which NaN fails by range; any other text is an
+    argparse error, with no row."""
+    argv = ["bandwidth", "--sizes", "8", "--load"]
+    if outcome == "invalid":
+        assert run(argv + [load]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f": error: argument --load: invalid float value: {load!r}\n")
+    elif outcome.startswith("error"):
+        assert run(argv + [load]) == 2
+        assert capsys.readouterr() == ("", outcome)
+    else:
+        assert run(argv + [outcome]) == 0
+        expected = capsys.readouterr()
+        assert run(argv + [load]) == 0
+        assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("budget, plain", [(" unlimited", "unlimited"), (" 1 ", "1"), ("\t+0", "0")])
 def test_budget_between_spaces_and_tabs(budget, plain, perm_file, capsys):
     """A budget reads alike with spaces and tabs around it, "unlimited" too."""

@@ -424,38 +424,6 @@ def test_greedy_equals_first_fit_reference(topology, size, data):
     assert (schedule.passes, schedule.shared_counts) == _first_fit_reference(net, perm, config)
 
 
-def _held(state):
-    """Per pass, the member on each key whose `used` bit is set for it."""
-    return [
-        {key: holder[key] for key, mask in enumerate(state.used) if mask >> i & 1}
-        for i, holder in enumerate(state.holders)
-    ]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0, 1, 2, None]), st.data())
-def test_fill_equals_a_loop_of_first_fit_and_join(topology, size, budget, data):
-    """`fill(order)`, in greedy's order or Welsh-Powell's, leaves the masks,
-    every pass's shared-stage counts and, at budget ≥ 1, its holders as a
-    loop of first_fit(m) and join leaves them."""
-    net = build_network(size, topology)
-    perm = draw_map(data, net)
-    sources = perm.sources.tolist()
-    order = sorted(range(len(perm)), key=sources.__getitem__)
-    if data.draw(st.booleans()):
-        degree = degrees(conflict_pairs(net, perm), len(perm)).tolist()
-        order.sort(key=lambda i: -degree[i])
-    filled, looped = scheduler._Occupancy(net, perm, budget), scheduler._Occupancy(net, perm, budget)
-    filled.fill(order)
-    for m in order:
-        i, met = looped.first_fit(m)
-        looped.join(i, m, met)
-    assert filled.used == looped.used
-    assert (filled.passes, filled.shared) == (looped.passes, looped.shared)
-    if budget != 0:  # fill keeps a list over every key, join a dict: compare the keys in use
-        assert _held(filled) == _held(looped)
-
-
 def _canonical_assignments(count, limit):
     """Every assignment of `count` messages to at most `limit` passes in
     which pass c first appears after pass c - 1, in lexicographic order."""
@@ -522,10 +490,11 @@ def test_exact_equals_smallest_valid_assignment_on_full_8_maps(topology):
             assert schedule.shared_counts == _pass_mates_met(net, perm, schedule.passes)
 
 
-def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypatch):
-    """Greedy and exact admit by occupancy and never look for conflicting
-    pairs; Welsh-Powell looks for them once, for its degrees.  The validator
-    pairs every pass itself, so it runs with the spy removed."""
+def test_greedy_alone_never_builds_the_conflict_graph(omega8, showcase, monkeypatch):
+    """Greedy admits by occupancy and never looks for conflicting pairs;
+    the exact solver looks for them once, for its search, and Welsh-Powell
+    once, for its degrees.  The validator pairs every pass itself, so it
+    runs with the spy removed."""
     pair_finder = scheduler.shared_pairs
     calls = []
 
@@ -537,102 +506,16 @@ def test_only_welsh_powell_builds_the_conflict_graph(omega8, showcase, monkeypat
     schedules = []
     for budget in (0, 1, None):
         schedules.append(schedule_greedy(omega8, showcase, ScheduleConfig(budget=budget)))
-        schedules.append(schedule_exact(omega8, showcase, exact_cfg(budget)))
         assert not calls
+        schedules.append(schedule_exact(omega8, showcase, exact_cfg(budget)))
+        assert len(calls) == 1
         config = ScheduleConfig(budget=budget, algorithm=Algorithm.WELSH_POWELL)
         schedules.append(schedule_greedy(omega8, showcase, config))
-        assert len(calls) == 1
+        assert len(calls) == 2
         calls.clear()
     monkeypatch.undo()
     for schedule in schedules:
         assert not validate_schedule(omega8, showcase, schedule).violations
-
-
-def _masks_from_members(net, perm, state, budget):
-    """`used` rebuilt from the path table and each pass's members, one mask
-    per (stage, switch) at budget 0 and per (stage, out-line) at budget ≥ 1,
-    with the member holding each used key."""
-    lines = path_table(net, perm.sources, perm.dests)
-    width = net.size if budget != 0 else net.size // 2
-    used = [0] * (width * net.stages)
-    holder = {}
-    for i, members in enumerate(state.passes):
-        for m in members:
-            for k in range(net.stages):
-                key = k * width + (lines[m, k] if budget != 0 else lines[m, k] >> 1)
-                used[key] |= 1 << i
-                holder[i, key] = m
-    return used, holder
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32]), st.sampled_from([0, 1, None]), st.data())
-def test_occupancy_masks_equal_members(topology, size, budget, data):
-    """Through random joins, leaves and passes opened and closed again, as
-    the exact solver makes them, the masks equal those of the members."""
-    net = build_network(size, topology)
-    perm = draw_map(data, net)
-    state = scheduler._Occupancy(net, perm, budget)
-    joined = []  # (pass, message, members met), undone last first
-    for _ in range(data.draw(st.integers(1, 3 * len(perm) + 1))):
-        waiting = sorted(set(range(len(perm))) - {m for _, m, _ in joined})
-        if joined and (not waiting or data.draw(st.booleans())):
-            state.leave(*joined.pop())
-        elif waiting:
-            m = data.draw(st.sampled_from(waiting))
-            i, met = state.first_fit(m)
-            fits = {i: met}
-            while i < len(state.passes):
-                i, met = state.first_fit(m, i + 1)
-                fits[i] = met
-            i = data.draw(st.sampled_from(sorted(fits)))
-            state.join(i, m, fits[i])
-            joined.append((i, m, fits[i]))
-        # each pass's members in join order, so `leave` pops the latest join
-        members = [[m for j, m, _ in joined if j == i] for i in range(len(state.passes))]
-        assert state.passes == members and len(state.holders) == len(members)
-        # each member's shared-stage count: the stages where another member is on its switch
-        switches = state.lines >> 1
-        for ms in members:
-            assert [state.shared[m] for m in ms] == [int(sum((switches[ms] == switches[m]).sum(axis=0) > 1)) for m in ms]
-        used, holder = _masks_from_members(net, perm, state, budget)
-        assert state.used == used
-        assert {(i, key): state.holders[i][key] for i, key in holder} == holder
-
-
-def _legal_passes(net, perm, state, m, budget):
-    """The passes m may join, by `validate_schedule` on each pass's members
-    plus m as the one pass of their sub-map, then the new pass."""
-    legal = []
-    for i, members in enumerate(state.passes):
-        sub = make_permutation([perm.pairs[q] for q in [*members, m]], net.size)
-        schedule = Schedule([list(range(len(sub)))], ScheduleConfig(budget=budget), [])
-        if not validate_schedule(net, sub, schedule).violations:
-            legal.append(i)
-    return legal + [len(state.passes)]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16]), st.sampled_from([0, 1, 2, None]), st.data())
-def test_first_fit_is_the_lowest_legal_pass_from_start(topology, size, budget, data):
-    """From every start, `first_fit(m, start)` is the lowest pass from start
-    on that the validator lets m join, or the new pass, and the members it
-    meets there are those that share a switch with m.  Each message then
-    joins any pass the validator allows, so the passes are seldom those
-    greedy would build."""
-    net = build_network(size, topology)
-    perm = draw_map(data, net)
-    switches = path_table(net, perm.sources, perm.dests) >> 1
-    state = scheduler._Occupancy(net, perm, budget)
-    for m in data.draw(st.permutations(range(len(perm)))):
-        legal = _legal_passes(net, perm, state, m, budget)
-        for start in range(len(state.passes) + 1):
-            i, met = state.first_fit(m, start)
-            assert i == min(c for c in legal if c >= start)
-            members = sorted(state.passes[i]) if i < len(state.passes) else []
-            assert sorted(met) == [q for q in members if (switches[q] == switches[m]).any()]
-        i = data.draw(st.sampled_from(legal))
-        state.join(i, m, state.first_fit(m, i)[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,7 +540,7 @@ def test_lower_bound_never_exceeds_the_fewest_passes(topology, size, data):
     if len(perm) > 8:
         perm = make_permutation(perm.pairs[:8], size)
     budget = data.draw(st.sampled_from([0, 1, 2, None]))
-    bound = scheduler._Occupancy(net, perm, budget).lower_bound()
+    bound = scheduler._lower_bound(net, path_table(net, perm.sources, perm.dests), budget)
     assert bound <= len(_smallest_valid_assignment(net, perm, budget))
 
 
@@ -670,23 +553,19 @@ def test_exact_starts_at_the_lower_bound():
         "26 2, 4 25, 10 2, 16 0, 30 0, 28 2, 17 2, 0 9, 15 26"
     )
     perm = make_permutation([Message(*map(int, e.split())) for e in ends.split(", ")], 32)
+    lines = path_table(net, perm.sources, perm.dests)
     for budget in (0, 1, None):
-        assert scheduler._Occupancy(net, perm, budget).lower_bound() == 7
+        assert scheduler._lower_bound(net, lines, budget) == 7
         schedule = schedule_exact(net, perm, exact_cfg(budget))
         assert len(schedule.passes) == 7
         assert not validate_schedule(net, perm, schedule).violations
 
 
-def test_exact_holders_grow_with_the_messages():
+def test_exact_on_a_large_network_gives_each_hot_message_a_pass():
     """Eighteen messages bound for one destination at N=65536 need a pass
-    each; the exact solver's occupancy keeps at most one holder per key of
-    its messages, where a list over every key would hold N·n per pass."""
+    each; the exact solver keeps its messages' pairs and passes, nothing
+    that grows with N."""
     net = build_network(65536, Topology.OMEGA)
     perm = make_permutation([Message(s, 0) for s in range(0, 65536, 3641)], net.size)
     for budget in (0, 1, None):
-        state = scheduler._Occupancy(net, perm, budget)
-        for m in range(len(perm)):
-            i, met = state.first_fit(m)
-            state.join(i, m, met)
-        assert sum(map(len, state.holders)) <= len(perm) * net.stages
         assert schedule_exact(net, perm, exact_cfg(budget)).passes == [[m] for m in range(18)]
