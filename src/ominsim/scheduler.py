@@ -60,21 +60,22 @@ class ValidationReport:
     violations: list[Violation]
 
 
-class _Occupancy:
-    """Passes under construction by first fit, for greedy and Welsh-Powell.
+def _first_fit(net: NetworkSpec, lines: np.ndarray, budget: int | None, order: list[int]) -> tuple[list, list[int]]:
+    """First fit of the path table `lines` over `order`, for greedy and
+    Welsh-Powell: each message joins the first pass it may, or a new one.
 
     A pass is legal exactly when no two members share an out-line and no
     member shares more than `budget` stages.  Passes are bits of integer
     masks, one mask in `used` per key, with bit i set when a member of pass
-    i holds that key.  `lines` numbers each (stage, out-line) k·N + line for
-    stage k + 1, and its half, k·N/2 + switch, numbers each (stage, switch).
+    i holds that key.  The keys number the (stage, switch) cells the map
+    uses densely, 0, 1, ..., so their masks grow with the map, not with N.
     At budget 0, where any shared switch is one too many, a message's keys
-    are its switches; at budget ≥ 1 they are its out-lines, and a switch's
-    mask is the OR of its two out-lines'.  `fill` admits each message of an
-    order in turn: OR-ing its masks once gives the passes it cannot join (a
-    shared switch at budget 0, a shared line at budget ≥ 1) and, at budget
-    ≥ 1, those in which it would share a switch; only the latter are
-    checked against the budget.
+    are its cells; at budget ≥ 1 they are its out-lines, 2·cell + port, so
+    that `line ^ 1` is the switch's other out-line and a cell's mask is the
+    OR of its two out-lines'.  OR-ing a message's masks once gives the
+    passes it cannot join (a shared switch at budget 0, a shared line at
+    budget ≥ 1) and, at budget ≥ 1, those in which it would share a switch;
+    only the latter are checked against the budget.
 
     In a pass a message shares no line in, each switch it would share holds
     exactly one member, the one leaving on the other out-line: a second
@@ -83,84 +84,77 @@ class _Occupancy:
     source).  Two messages that leave a switch on different lines never
     meet again (each output has one path from each input), so each shared
     switch is one stage for the message and one for a different member.
-    `shared` is each message's shared-stage count (it sits in one pass),
-    `passes` each pass's members in join order, and `holders` each pass's
-    member on every key, read while the pass's bit is set for it (at
-    budget ≥ 1 only).
+    Returns each pass's members in join order and each message's shared-
+    stage count (it sits in one pass).  `holders` is each pass's member on
+    every key, read while the pass's bit is set for it (budget ≥ 1 only).
     """
-
-    def __init__(self, net: NetworkSpec, perm: PermutationMap, budget: int | None):
-        self.lines = path_table(net, perm.sources, perm.dests) + net.size * np.arange(net.stages)
-        # no message has more than net.stages stages to share
-        self.budget = net.stages if budget is None else budget
-        # switch keys at budget 0: one OR per stage, faster than out-line keys plus `beside` (ROADMAP aim 2)
-        self.keys = (self.lines if self.budget else self.lines >> 1).tolist()
-        self.used = [0] * (net.size * net.stages if self.budget else net.size // 2 * net.stages)
-        self.shared = [0] * len(perm)
-        self.passes: list[list[int]] = []
-        self.holders: list[list[int]] = []
-
-    def fill(self, order: list[int]) -> None:
-        """Admit each message of `order` in turn to the first pass it may join,
-        opening a new pass when no open one takes it."""
-        # inlined: admission 50 %/22 % faster at b0/b1, against 11 %/10 % for one find-and-join call (ROADMAP aim 2)
-        keys, used, budget, shared = self.keys, self.used, self.budget, self.shared
-        passes, holders = self.passes, self.holders
-        if not budget:
-            for m in order:
-                held = keys[m]
-                blocked = 0
-                for key in held:
-                    blocked |= used[key]
-                # the lowest pass m shares no switch in
-                bit = ~blocked & (blocked + 1)
-                for key in held:
-                    used[key] |= bit
-                if bit >> len(passes):
-                    passes.append([m])
-                else:
-                    passes[bit.bit_length() - 1].append(m)
-            return
+    # no message has more than net.stages stages to share
+    budget = net.stages if budget is None else budget
+    cells = (lines >> 1) + net.size // 2 * np.arange(net.stages)
+    upto = np.zeros(net.size // 2 * net.stages, dtype=np.intp)
+    upto[cells] = 1
+    # in place, so that upto becomes the count of used cells up to each cell
+    number = np.cumsum(upto, out=upto)[cells] - 1
+    # switch keys at budget 0: one OR per stage, faster than out-line keys plus `beside` (ROADMAP aim 2)
+    keys = (2 * number + (lines & 1) if budget else number).tolist()
+    used = [0] * (2 if budget else 1) * int(upto[-1])
+    shared = [0] * len(lines)
+    passes: list[list[int]] = []
+    holders: list[list[int]] = []
+    # inlined: admission 50 %/22 % faster at b0/b1, against 11 %/10 % for one find-and-join call (ROADMAP aim 2)
+    if not budget:
         for m in order:
             held = keys[m]
-            blocked = beside = 0
+            blocked = 0
+            for key in held:
+                blocked |= used[key]
+            # the lowest pass m shares no switch in
+            bit = ~blocked & (blocked + 1)
+            for key in held:
+                used[key] |= bit
+            if bit >> len(passes):
+                passes.append([m])
+            else:
+                passes[bit.bit_length() - 1].append(m)
+        return passes, shared
+    for m in order:
+        held = keys[m]
+        blocked = beside = 0
+        for line in held:
+            blocked |= used[line]
+            beside |= used[line ^ 1]
+        free = ~blocked
+        while True:
+            bit = free & -free
+            if not beside & bit:
+                met = ()
+                break
+            holder = holders[bit.bit_length() - 1]
+            met = []
             for line in held:
-                blocked |= used[line]
-                beside |= used[line ^ 1]
-            free = ~blocked
-            while True:
-                bit = free & -free
-                if not beside & bit:
-                    met = ()
+                if not used[line ^ 1] & bit:
+                    continue
+                other = holder[line ^ 1]
+                if len(met) >= budget or shared[other] >= budget:
                     break
-                holder = holders[bit.bit_length() - 1]
-                met = []
-                for line in held:
-                    if not used[line ^ 1] & bit:
-                        continue
-                    other = holder[line ^ 1]
-                    if len(met) >= budget or shared[other] >= budget:
-                        break
-                    met.append(other)
-                else:
-                    break
-                free ^= bit
-            i = bit.bit_length() - 1
-            if i == len(passes):
-                passes.append([])
-                # a list over every key: a dict of the members' keys made budget-1 greedy 17 % slower (ROADMAP aim 2)
-                holders.append([0] * len(used))
-            passes[i].append(m)
-            holder = holders[i]
-            for line in held:
-                used[line] |= bit
-                holder[line] = m
-            shared[m] = len(met)
-            for other in met:
-                shared[other] += 1
-
-    def schedule(self, config: ScheduleConfig) -> Schedule:
-        return Schedule([sorted(members) for members in self.passes], config, self.shared)
+                met.append(other)
+            else:
+                break
+            free ^= bit
+        i = bit.bit_length() - 1
+        if i == len(passes):
+            passes.append([])
+            # a list over every key: a dict of the members' keys made budget-1 greedy 17 % slower (ROADMAP aim 2)
+            holders.append([0] * len(used))
+        passes[i].append(m)
+        holder = holders[i]
+        for line in held:
+            used[line] |= bit
+            holder[line] = m
+        shared[m] = len(met)
+        for other in met:
+            shared[other] += 1
+    return passes, shared
 
 
 def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfig) -> Schedule:
@@ -173,14 +167,14 @@ def schedule_greedy(net: NetworkSpec, perm: PermutationMap, config: ScheduleConf
     """
     if config.algorithm not in (Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL):
         raise ValueError(f"greedy scheduler got algorithm {config.algorithm}")
-    state = _Occupancy(net, perm, config.budget)
+    lines = path_table(net, perm.sources, perm.dests)
     order = np.argsort(perm.sources, kind="stable").tolist()
     if config.algorithm is Algorithm.WELSH_POWELL:
-        a, b, _, _ = shared_pairs(state.lines)
+        a, b, _, _ = shared_pairs(lines)
         degree = np.bincount(np.r_[a, b], minlength=len(order)).tolist()
         order.sort(key=lambda i: -degree[i])
-    state.fill(order)
-    return state.schedule(config)
+    passes, shared = _first_fit(net, lines, config.budget, order)
+    return Schedule([sorted(members) for members in passes], config, shared)
 
 
 def _lower_bound(net: NetworkSpec, lines: np.ndarray, budget: int | None) -> int:
@@ -213,7 +207,8 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     earlier line partners is there and at most `budget` of its earlier
     switch partners are, none of them already at the budget.  `bit` holds
     each placed message's pass as a bit, `shared` each message's
-    shared-stage count, and `passes` each pass's members.
+    shared-stage count, and `passes` each pass's members, ascending, as
+    messages are placed in index order.
     """
     if config.algorithm is not Algorithm.EXACT:
         raise ValueError(f"exact scheduler got algorithm {config.algorithm}")
@@ -269,7 +264,7 @@ def schedule_exact(net: NetworkSpec, perm: PermutationMap, config: ScheduleConfi
     for limit in range(_lower_bound(net, lines, config.budget), count + 1):
         if assign(0, limit):
             break
-    return Schedule([sorted(members) for members in passes], config, shared)
+    return Schedule(passes, config, shared)
 
 
 def validate_schedule(

@@ -371,22 +371,24 @@ def test_empty_map_schedules_to_no_passes(omega8):
         assert not validate_schedule(omega8, empty, schedule).violations
 
 
-def _first_fit_reference(net, perm, config):
+def _first_fit_reference(net, perm, config, order=None):
     """First-fit over all pairs of traced paths (`conflict_stages`): each
-    message, by ascending source or, for Welsh-Powell, by descending degree
-    first, joins the first pass where it meets no member on a line and no
-    member's shared stages, its own included, exceed the budget.
-    Returns (passes, shared_counts), one count per message."""
+    message of `order` (when None, by ascending source or, for Welsh-Powell,
+    by descending degree first) joins the first pass where it meets no
+    member on a line and no member's shared stages, its own included,
+    exceed the budget.  Returns (passes, shared_counts), one count per
+    message."""
     count = len(perm.pairs)
     met = {}
     for a, b in combinations(range(count), 2):
         found = conflict_stages(net, perm.pairs[a], perm.pairs[b])
         if found:
             met[a, b] = met[b, a] = found
-    order = sorted(range(count), key=lambda i: perm.pairs[i].source)
-    if config.algorithm is Algorithm.WELSH_POWELL:
-        degree = Counter(a for a, _ in met)
-        order.sort(key=lambda i: -degree[i])
+    if order is None:
+        order = sorted(range(count), key=lambda i: perm.pairs[i].source)
+        if config.algorithm is Algorithm.WELSH_POWELL:
+            degree = Counter(a for a, _ in met)
+            order.sort(key=lambda i: -degree[i])
     passes = []  # per pass: member -> the stages it shares
     for m in order:
         for index, shared in enumerate(passes):
@@ -414,7 +416,8 @@ def _first_fit_reference(net, perm, config):
 @given(st.sampled_from(list(Topology)), st.sampled_from([4, 8, 16, 32, 64]), st.data())
 def test_greedy_equals_first_fit_reference(topology, size, data):
     """Passes and shared-stage counts equal those of first-fit over all pairs
-    of traced paths, for both message orders, on full and partial maps."""
+    of traced paths, for both built-in message orders and for `_first_fit`
+    over any order, on full and partial maps."""
     net = build_network(size, topology)
     perm = draw_map(data, net)
     budget = data.draw(st.sampled_from([0, 1, 2, None]))
@@ -422,6 +425,11 @@ def test_greedy_equals_first_fit_reference(topology, size, data):
     config = ScheduleConfig(budget=budget, algorithm=algorithm)
     schedule = schedule_greedy(net, perm, config)
     assert (schedule.passes, schedule.shared_counts) == _first_fit_reference(net, perm, config)
+    order = data.draw(st.permutations(range(len(perm))))
+    passes, shared = scheduler._first_fit(net, path_table(net, perm.sources, perm.dests), budget, order)
+    passes = [sorted(members) for members in passes]
+    assert (passes, shared) == _first_fit_reference(net, perm, config, order)
+    assert not validate_schedule(net, perm, Schedule(passes, config, shared)).violations
 
 
 def _canonical_assignments(count, limit):
