@@ -26,8 +26,8 @@ resolves it stage by stage across all of its trials (resolve_batch):
   asked for, each pruning the survivors of the one above, so survivor sets
   nest and one level per message, the lowest budget at which it survives,
   carries every mode's mask: mode k's is level <= min(k, n), allow's n.
-  The level starts at min(lowest, n) for an allow survivor and n + 1
-  elsewhere, and budget b writes b + 1 at every message it drops.
+  A level is n + 1 less the passes the message survives, the allow pass
+  and each budget sweep of the chain.
 * Allow survivors never share a line, so during a budget sweep a switch
   holds at most two of them.  resolve_batch finds the switches where two
   allow survivors meet, and each member's partner at every earlier stage,
@@ -178,12 +178,11 @@ def _contested(
     return stages
 
 
-def _budget_sweep(stages: list, alive: np.ndarray, level: np.ndarray, budget: int) -> None:
+def _budget_sweep(stages: list, alive: np.ndarray, budget: int) -> None:
     """Enforce a shared-stage budget on `alive`, a subset of the allow
     survivors, in place, as the module docstring describes: at a contested
     switch the share stands while both counts stay within budget; otherwise
-    the message with the larger count drops, the higher source on a tie.
-    Each slot dropped gets level budget + 1."""
+    the message with the larger count drops, the higher source on a tie."""
     for pair, partners, at_least in stages[budget:]:
         hot = at_least[budget]
         if not hot:
@@ -203,7 +202,6 @@ def _budget_sweep(stages: list, alive: np.ndarray, level: np.ndarray, budget: in
             # no share stands at budget 0: the higher source drops
             drop = np.maximum(pair[0], pair[1])[live]
         alive[drop] = False
-        level[drop] = budget + 1
 
 
 def resolve_batch(net: NetworkSpec, dests: np.ndarray, lowest: int) -> np.ndarray:
@@ -215,18 +213,18 @@ def resolve_batch(net: NetworkSpec, dests: np.ndarray, lowest: int) -> np.ndarra
     pass alone, as a budget >= n never binds.  lowest must be >= 0.
     Returns a (trials, N) int8 array of each source's level: the lowest
     budget >= lowest at which it survives, n when only the allow pass keeps
-    it, n + 1 for an allow loser or an idle source.
+    it, n + 1 for an allow loser or an idle source.  A level is n + 1 less
+    the passes the source survives: the allow pass, then each budget sweep.
     """
     trials, size = dests.shape
     n = net.stages
     alive, entering = _allow_sweep(net, dests)
-    # where(alive, min(lowest, n), n + 1), in a fifth of np.where's time;
-    # every budget sweep raises the level of each slot it drops
-    level = alive * np.int8(min(lowest, n) - n - 1)
-    level += n + 1
+    level = np.full(alive.size, n + 1, dtype=np.int8)
+    level -= alive
     if lowest < n:
         entering += np.arange(trials) * (size + 1)
         stages = _contested(net, alive, entering)
         for budget in range(n - 1, lowest - 1, -1):
-            _budget_sweep(stages, alive, level, budget)
+            _budget_sweep(stages, alive, budget)
+            level -= alive
     return level.reshape(trials, size + 1)[:, :size]

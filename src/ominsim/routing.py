@@ -132,11 +132,6 @@ def full_permutation(net: NetworkSpec, destinations: Sequence[int]) -> Permutati
     return _checked(np.arange(net.size), dests, net.size)
 
 
-def routing_bit(net: NetworkSpec, destination: int, stage: int) -> int:
-    """Destination bit consumed at `stage`: the MSB first, the LSB last."""
-    return (destination >> (net.stages - stage)) & 1
-
-
 def trace_path(net: NetworkSpec, msg: Message) -> tuple[Hop, ...]:
     """Follow a message line by line through every switch column: one hop
     per stage, in stage order."""
@@ -147,7 +142,7 @@ def trace_path(net: NetworkSpec, msg: Message) -> tuple[Hop, ...]:
     for stage in range(1, net.stages + 1):
         line = interconnect(net, stage, line)
         switch, in_port = line >> 1, line & 1
-        out_port = routing_bit(net, msg.destination, stage)
+        out_port = (msg.destination >> (net.stages - stage)) & 1
         hops.append(Hop(stage=stage, switch=switch, in_port=in_port, out_port=out_port))
         line = (switch << 1) | out_port
     return tuple(hops)

@@ -275,11 +275,14 @@ def validate_schedule(
 ) -> ValidationReport:
     """Check the schedule against conflicts recomputed from the path table.
 
-    Each pass's out-lines are offset by pass · N, so that its rows meet only
-    each other, and the holders of every line are counted; only when a line
-    is held twice or a member goes over the budget does one `shared_pairs`
-    call pair the rows of every pass by shared switch.  Nothing is read
-    from the occupancy the schedulers used.
+    Each message's out-lines are offset by N times its pass, so that rows of
+    different passes never meet, and the holders of every line are counted
+    in message order.  The pass and stage offsets are even, so `cell ^ 1` is
+    the other out-line of a member's switch, and where no line is held twice
+    a member's shared stages are those where that line is held.  Only when a
+    line is held twice or a member goes over the budget are the rows sorted
+    by pass and paired by shared switch, in one `shared_pairs` call.
+    Nothing is read from the occupancy the schedulers used.
     Coverage errors (an index missing, duplicated, or out of range) raise;
     semantic problems are returned as violations: link conflicts in (a, b)
     order, then budget overruns in member order, per pass.
@@ -298,31 +301,28 @@ def validate_schedule(
         missing = np.flatnonzero(np.bincount(members, minlength=count) == 0).tolist()
         raise CoverageError(f"messages {missing} missing from the schedule")
 
-    # every pass's sorted rows in one table, each pass's lines moved past
-    # the last pass's so that rows of different passes never meet; lane is
-    # ascending, so sorting lane * count + member sorts within each pass
     sizes = [len(p) for p in schedule.passes]
-    lane = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.sort(lane * count + members) - lane * count
-    lines = path_table(net, perm.sources, perm.dests)[order] + (net.size * lane)[:, None]
+    member_pass = np.empty(count, dtype=np.intp)
+    member_pass[members] = np.repeat(np.arange(len(sizes)), sizes)
+    lines = path_table(net, perm.sources, perm.dests) + (net.size * member_pass)[:, None]
     # count the holders of every (pass, stage, out-line) first, unless the
     # counts (N·P·n) outgrow the table (M·n) by far, as for a few messages
-    # in a large network: with no line held twice no switch holds three, so
-    # a member's shared stages are those whose switch is held twice, and
-    # the pairs are needed only for a violation
+    # in a large network; the pairs are needed only for a violation
     span = net.size * len(sizes)
     if span <= 64 * count:
         cells = lines + span * np.arange(net.stages)
         held = np.bincount(cells.ravel(), minlength=span * net.stages)
         if held.max(initial=0) < 2:
-            shared = (held[0::2] + held[1::2] == 2)[cells >> 1].sum(axis=1)
+            shared = held[cells ^ 1].sum(axis=1)
             if config.budget is None or not (shared > config.budget).any():
                 return ValidationReport(violations=[])
-    a, b, stage, link = shared_pairs(lines)
+    # the rows by pass, each pass's in member order, as pairs are reported
+    order = np.argsort(member_pass, kind="stable")
+    a, b, stage, link = shared_pairs(lines[order])
     if not a.size:
         return ValidationReport(violations=[])
-    at_pass = lane[a]
     a, b = order[a], order[b]
+    at_pass = member_pass[a]
     links = zip(at_pass[link].tolist(), a[link].tolist(), b[link].tolist(), stage[link].tolist())
     violations = [Violation("link", pi, (x, y), (s,)) for pi, x, y, s in links]
     if config.budget is not None:
@@ -334,8 +334,6 @@ def validate_schedule(
         counts = np.bincount(member)
         over = np.flatnonzero(counts > config.budget)
         starts = np.searchsorted(member, over)
-        member_pass = np.empty(count, dtype=np.intp)
-        member_pass[order] = lane
         found = zip(member_pass[over].tolist(), over.tolist(), starts.tolist(), (starts + counts[over]).tolist())
         for pi, m, s, e in found:
             violations.append(Violation("budget", pi, (m,), tuple(at[s:e].tolist())))

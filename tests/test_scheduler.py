@@ -362,6 +362,42 @@ def test_pair_path_with_no_pairs_found():
     assert validate_schedule(net, perm, forced).violations == [Violation("link", 0, (0, 1), (10,))]
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("size", [8, 32, 128, 1024])
+def test_shared_counts_equal_the_validators_budget_report(topology, size):
+    """Below a first-fit schedule's largest shared-stage count, the
+    validator reports exactly the members over the budget, each with as
+    many stages as the schedule counted, and no link; at that count it
+    reports nothing.  Full and half maps take the holder count; a few
+    messages bound for four destinations at N=1024 take the pair path."""
+    net = build_network(size, topology)
+    rng = random.Random(size)
+    maps = []
+    for _ in range(3):
+        half = rng.sample(range(size), size // 2)
+        sources = rng.sample(range(size), max(2, size // 128))
+        targets = rng.sample(range(size), 4)
+        maps += [
+            full_permutation(net, rng.sample(range(size), size)),
+            make_permutation([Message(s, rng.randrange(size)) for s in half], size),
+            make_permutation([Message(s, rng.choice(targets)) for s in sources], size),
+        ]
+    counted = set()
+    for perm, budget, algorithm in product(maps, [1, 2, 3, None], [Algorithm.GREEDY_ORDER, Algorithm.WELSH_POWELL]):
+        schedule = schedule_greedy(net, perm, ScheduleConfig(budget, algorithm))
+        counts = schedule.shared_counts
+        counted.add(net.size * len(schedule.passes) <= 64 * len(perm))
+        pass_of = {m: i for i, p in enumerate(schedule.passes) for m in p}
+        for lower in range(max(counts) + 1):
+            report = validate_schedule(net, perm, schedule, ScheduleConfig(lower))
+            over = sorted((pass_of[m], m, c) for m, c in enumerate(counts) if c > lower)
+            assert [(v.kind, v.pass_index, v.messages, len(v.stages)) for v in report.violations] == [
+                ("budget", pi, (m,), c) for pi, m, c in over
+            ]
+    if size == 1024:
+        assert counted == {True, False}
+
+
 def test_empty_map_schedules_to_no_passes(omega8):
     empty = make_permutation([], 8)
     for config in (ScheduleConfig(budget=0), exact_cfg(0), exact_cfg(None)):
